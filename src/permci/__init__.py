@@ -17,33 +17,13 @@ from .core import (
     neyman,
     tau,
 )
-from .exactdist import (
-    ExactTester,
-    StatPmf,
-    TreatmentSplit,
-    copas_pmf_term,
-    exact_pmf,
-    exact_pvalue,
-)
+from .exactdist import ExactTester, StatPmf, exact_pmf, exact_pvalue
 from .feasibility import feasible_v10_range, is_possible
 from .baseline import enumerated_interval
 from .balanced import binary_search, fast_interval_balanced, is_compatible_balanced
-from .montecarlo import (
-    McConfig,
-    mc_interval_balanced,
-    mc_test,
-    required_k_balanced,
-    sample_split,
-)
-from .unbalanced import (
-    AssignmentSummary,
-    LineSegment,
-    required_k_unbalanced,
-    scan_line,
-    stat_from_summary,
-    step_summary,
-    unbalanced_interval,
-)
+from .montecarlo import McConfig, mc_interval_balanced, mc_test, required_k_balanced
+from .unbalanced import required_k_unbalanced, unbalanced_interval
+from .api import IntervalResult, interval, required_k
 from .missing import (
     MaskedCounts,
     MaskedObservations,
@@ -56,7 +36,6 @@ from .missing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentSummary",
     "CapacityError",
     "ContractError",
     "CountVector",
@@ -65,7 +44,7 @@ __all__ = [
     "ExactStat",
     "ExactTester",
     "Interval",
-    "LineSegment",
+    "IntervalResult",
     "MaskedCounts",
     "MaskedObservations",
     "McConfig",
@@ -74,17 +53,16 @@ __all__ = [
     "ScaledEffect",
     "StatPmf",
     "SubjectRecord",
-    "TreatmentSplit",
     "ValidationError",
     "binary_search",
     "c_set",
-    "copas_pmf_term",
     "enumerated_interval",
     "exact_pmf",
     "exact_pvalue",
     "fast_interval_balanced",
     "feasible_v10_range",
     "impute_extremes",
+    "interval",
     "is_compatible_balanced",
     "is_possible",
     "mc_interval_balanced",
@@ -92,12 +70,9 @@ __all__ = [
     "missing_interval",
     "neyman",
     "pad_odd",
+    "required_k",
     "required_k_balanced",
     "required_k_unbalanced",
-    "sample_split",
-    "scan_line",
-    "stat_from_summary",
-    "step_summary",
     "tau",
     "unbalanced_interval",
 ]

@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .core import (
     CapacityError,
@@ -33,12 +32,9 @@ from .core import (
     ValidationError,
     neyman,
 )
-from .balanced import fast_interval_balanced
-from .baseline import enumerated_interval
-from .exactdist import ExactTester
+from .api import interval, required_k
 from .missing import MaskedObservations, SubjectRecord, missing_interval, pad_odd
-from .montecarlo import McConfig, mc_interval_balanced, required_k_balanced
-from .unbalanced import required_k_unbalanced, unbalanced_interval
+from .montecarlo import McConfig
 from . import validation
 
 USAGE_ERROR = 2
@@ -78,6 +74,18 @@ def _seed(text: str) -> int:
     return value
 
 
+def _k(text: str) -> int | str:
+    if text == "auto":
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"k must be a positive integer or 'auto', got {text!r}")
+    return value
+
+
 def _default_threads() -> int:
     raw = os.environ.get("PERMCI_THREADS", "1")
     try:
@@ -86,21 +94,17 @@ def _default_threads() -> int:
         return 1
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def _interval_fields(iv: Interval, n: int) -> dict:
     if iv.is_empty:
         return {"interval_scaled": None, "interval": None}
     lo, hi = iv.lower * n, iv.upper * n
     scaled = [
-        int(lo) if lo.denominator == 1 else _frac_str(lo),
-        int(hi) if hi.denominator == 1 else _frac_str(hi),
+        int(lo) if lo.denominator == 1 else str(lo),
+        int(hi) if hi.denominator == 1 else str(hi),
     ]
     return {
         "interval_scaled": scaled,
-        "interval": [_frac_str(iv.lower), _frac_str(iv.upper)],
+        "interval": [str(iv.lower), str(iv.upper)],
     }
 
 
@@ -134,105 +138,39 @@ def _emit(report: dict, fmt: str, wall_ms: float) -> None:
             print(f"{key}: {value}")
 
 
-def _cmd_exact(args: argparse.Namespace) -> int:
+def _cmd_interval(args: argparse.Namespace) -> int:
     obs: ObservedCounts = args.counts
-    mode = args.mode
-    if mode == "auto":
-        mode = "balanced" if obs.design.balanced else "unbalanced"
-    if mode == "balanced" and not obs.design.balanced:
-        raise ValidationError("balanced mode requires equal group sizes")
-    t0 = time.perf_counter()
-    if mode == "balanced":
-        pmode = "rational" if obs.n <= 64 else "float"
-        res = fast_interval_balanced(args.alpha, obs, tester=ExactTester(obs, args.alpha, pmode))
-        interval, tests = res.interval, res.tests
-        method = f"fast-balanced-exact[{pmode}]"
-    else:
-        res = unbalanced_interval(obs, alpha=args.alpha, mode="exact")
-        interval, tests = res.interval, res.base_tests + res.line_points
-        method = "general-exact"
-    wall = (time.perf_counter() - t0) * 1000
     report = {
-        "method": method,
         "counts": list(obs.astuple()),
         "n": obs.n,
         "m": obs.m,
         "alpha": args.alpha,
-        "estimate": _frac_str(neyman(obs).fraction),
-        "tests": tests,
+        "estimate": str(neyman(obs).fraction),
         "k": None,
         "seed": None,
-        **_interval_fields(interval, obs.n),
     }
-    _emit(report, args.format, wall)
-    return 0
-
-
-def _cmd_mc(args: argparse.Namespace) -> int:
-    obs: ObservedCounts = args.counts
-    if not args.eps < args.alpha:
-        print(f"usage error: eps must be smaller than alpha ({args.eps} >= {args.alpha})", file=sys.stderr)
-        return USAGE_ERROR
-    balanced = obs.design.balanced
-    recommended = (
-        required_k_balanced(args.eps, obs.n) if balanced else required_k_unbalanced(args.eps, obs.n)
-    )
-    k = recommended if args.k == "auto" else int(args.k)
-    if k < 1:
-        print("usage error: k must be a positive integer or 'auto'", file=sys.stderr)
-        return USAGE_ERROR
-    level = args.alpha - args.eps
-    cfg = McConfig(alpha=level, eps=args.eps, k=k, seed=args.seed)
-    t0 = time.perf_counter()
-    if balanced:
-        res = mc_interval_balanced(cfg, obs, threads=args.threads)
-        interval, tests = res.interval, res.tests
-        method = "fast-balanced-mc"
-    else:
-        res = unbalanced_interval(obs, mode="mc", cfg=cfg)
-        interval, tests = res.interval, res.base_tests
-        method = "general-mc"
-    wall = (time.perf_counter() - t0) * 1000
-    report = {
-        "method": method,
-        "counts": list(obs.astuple()),
-        "n": obs.n,
-        "m": obs.m,
-        "alpha": args.alpha,
-        "alpha_effective": level,
-        "eps": args.eps,
-        "k": k,
-        "k_recommended": recommended,
-        "seed": args.seed,
-        "estimate": _frac_str(neyman(obs).fraction),
-        "tests": tests,
-        **_interval_fields(interval, obs.n),
-    }
-    if k < recommended:
-        report["note"] = (
-            f"k below the recommended {recommended}; the coverage guarantee does not apply"
+    cfg = None
+    threads = 1
+    if args.method == "mc":
+        if not args.eps < args.alpha:
+            print(f"usage error: eps must be smaller than alpha ({args.eps} >= {args.alpha})", file=sys.stderr)
+            return USAGE_ERROR
+        recommended = required_k(args.eps, obs)
+        k = recommended if args.k == "auto" else args.k
+        level = args.alpha - args.eps
+        cfg = McConfig(alpha=level, eps=args.eps, k=k, seed=args.seed)
+        threads = args.threads
+        report.update(
+            alpha_effective=level, eps=args.eps, k=k, k_recommended=recommended, seed=args.seed
         )
-    _emit(report, args.format, wall)
-    return 0
-
-
-def _cmd_enum(args: argparse.Namespace) -> int:
-    obs: ObservedCounts = args.counts
+        if k < recommended:
+            report["note"] = (
+                f"k below the recommended {recommended}; the coverage guarantee does not apply"
+            )
     t0 = time.perf_counter()
-    res = enumerated_interval(args.alpha, obs)
+    res = interval(obs, args.alpha, args.method, cfg, threads)
     wall = (time.perf_counter() - t0) * 1000
-    report = {
-        "method": "enumeration",
-        "counts": list(obs.astuple()),
-        "n": obs.n,
-        "m": obs.m,
-        "alpha": args.alpha,
-        "estimate": _frac_str(neyman(obs).fraction),
-        "tests": res.tuple_tests,
-        "k": None,
-        "seed": None,
-        **_interval_fields(res.interval, obs.n),
-    }
+    report.update(method=res.method, tests=res.tests, **_interval_fields(res.interval, obs.n))
     _emit(report, args.format, wall)
     return 0
 
@@ -306,13 +244,7 @@ def _run_suite(suite: str) -> list[tuple[str, bool, str]]:
     out: list[tuple[str, bool, str]] = []
     if suite in ("smoke", "all"):
         rows = validation.table1_repro()
-        ok = all(
-            r["enumeration"]["scaled"]
-            == r["fast_balanced"]["scaled"]
-            == r["general_exact"]["scaled"]
-            == r["expected_scaled"]
-            for r in rows
-        )
+        ok = all(r["match"] for r in rows)
         out.append(("reference-rows", ok, f"{len(rows)} observations, 3 constructions"))
         agree = 0
         total = 0
@@ -322,10 +254,7 @@ def _run_suite(suite: str) -> list[tuple[str, bool, str]]:
                 for n01 in range(m + 1):
                     obs = ObservedCounts(n11, m - n11, n01, m - n01)
                     total += 1
-                    if (
-                        fast_interval_balanced(0.05, obs).interval
-                        == enumerated_interval(0.05, obs).interval
-                    ):
+                    if interval(obs, 0.05).interval == interval(obs, 0.05, "enum").interval:
                         agree += 1
         out.append(("balanced-vs-enumeration", agree == total, f"{agree}/{total} observations"))
     if suite in ("distribution", "all"):
@@ -353,9 +282,7 @@ def _run_suite(suite: str) -> list[tuple[str, bool, str]]:
                         for v11 in range(n + 1):
                             for v10 in range(n - v11 + 1):
                                 for v01 in range(n - v11 - v10 + 1):
-                                    from .core import CountVector as CV
-
-                                    v = CV(v11, v10, v01, n - v11 - v10 - v01)
+                                    v = CountVector(v11, v10, v01, n - v11 - v10 - v01)
                                     total += 1
                                     if is_possible(v, obs) != is_possible_bruteforce(v, obs):
                                         bad += 1
@@ -368,23 +295,15 @@ def _run_suite(suite: str) -> list[tuple[str, bool, str]]:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.table1:
         rows = validation.table1_repro(args.alpha)
-        ok = True
         for r in rows:
-            match = (
-                r["enumeration"]["scaled"]
-                == r["fast_balanced"]["scaled"]
-                == r["general_exact"]["scaled"]
-                == r["expected_scaled"]
-            )
-            ok &= match
             print(
                 f"counts={tuple(r['counts'])} expected={r['expected_scaled']} "
                 f"enumeration={r['enumeration']['scaled']} ({r['enumeration']['tests']} tests) "
                 f"fast={r['fast_balanced']['scaled']} ({r['fast_balanced']['tests']} tests) "
                 f"general={r['general_exact']['scaled']} ({r['general_exact']['tests']} tests) "
-                f"{'OK' if match else 'MISMATCH'}"
+                f"{'OK' if r['match'] else 'MISMATCH'}"
             )
-        return 0 if ok else ANALYSIS_ERROR
+        return 0 if all(r["match"] for r in rows) else ANALYSIS_ERROR
     if args.growth:
         n_list = [int(x) for x in args.n_list.split(",")] if args.n_list else None
         report = validation.mc_growth(
@@ -437,24 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=_level, default=0.05)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_exact = sub.add_parser("exact", help="exact interval (auto-selects the search)")
+    p_exact = sub.add_parser("exact", help="exact interval (the design selects the search)")
     common(p_exact)
-    p_exact.add_argument("--mode", choices=("auto", "balanced", "unbalanced"), default="auto")
-    p_exact.set_defaults(func=_cmd_exact)
+    p_exact.set_defaults(func=_cmd_interval, method="exact")
 
     p_mc = sub.add_parser("mc", help="Monte Carlo interval")
     common(p_mc)
     p_mc.add_argument("--eps", type=_level, required=True)
-    p_mc.add_argument("--k", default="auto", help="samples per test, or 'auto'")
+    p_mc.add_argument("--k", type=_k, default="auto", help="samples per test, or 'auto'")
     p_mc.add_argument("--seed", type=_seed, required=True)
     p_mc.add_argument("--threads", type=int, default=_default_threads())
-    p_mc.set_defaults(func=_cmd_mc)
+    p_mc.set_defaults(func=_cmd_interval, method="mc")
 
     p_enum = sub.add_parser(
         "enum", aliases=["rh"], help="exhaustive enumeration construction"
     )
     common(p_enum)
-    p_enum.set_defaults(func=_cmd_enum)
+    p_enum.set_defaults(func=_cmd_interval, method="enum")
 
     p_missing = sub.add_parser("missing", help="interval from a subject file with missing outcomes")
     p_missing.add_argument("--file", required=True)

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Interval, ObservedCounts, ValidationError, alpha_fraction, neyman
-from .balanced import fast_interval_balanced
-from .exactdist import ExactTester
-from .unbalanced import unbalanced_interval
+from .core import Interval, ObservedCounts, ValidationError, neyman
+from .api import interval
 
 
 @dataclass(frozen=True)
@@ -140,32 +138,12 @@ class MissingResult:
     method: str
 
 
-def _endpoint_intervals(alpha: float, plus: ObservedCounts, minus: ObservedCounts, mode: str):
-    lower_iv = _complete_data_interval(alpha, minus, mode)
-    upper_iv = _complete_data_interval(alpha, plus, mode)
-    return lower_iv, upper_iv
-
-
-def _complete_data_interval(alpha: float, obs: ObservedCounts, mode: str) -> Interval:
-    if obs.design.balanced:
-        tester = ExactTester(obs, alpha, mode=mode)
-        return fast_interval_balanced(alpha, obs, tester=tester).interval
-    return unbalanced_interval(obs, alpha=alpha, mode="exact").interval
-
-
-def missing_interval(
-    alpha: float,
-    data: MaskedObservations | MaskedCounts,
-    tester_mode: str | None = None,
-) -> MissingResult:
+def missing_interval(alpha: float, data: MaskedObservations | MaskedCounts) -> MissingResult:
     """Bracketing interval valid under arbitrary missingness."""
-    alpha_fraction(alpha)
-    counts = data.to_counts() if isinstance(data, MaskedObservations) else data
-    plus, minus = counts.plus, counts.minus
-    mode = tester_mode or ("rational" if counts.n <= 64 else "float")
-    lower_iv, upper_iv = _endpoint_intervals(alpha, plus, minus, mode)
-    balanced = plus.design.balanced
-    if balanced:
+    plus, minus = impute_extremes(data)
+    lower_iv = interval(minus, alpha).interval
+    upper_iv = interval(plus, alpha).interval
+    if plus.design.balanced:
         lower = lower_iv.lower
         upper = upper_iv.upper
         method = "bracketed-balanced"

@@ -219,6 +219,11 @@ class UnbalancedResult:
     tau0_evaluations: int
     mode: str
 
+    @property
+    def tests(self) -> int:
+        """Every tested table: base tests plus line points."""
+        return self.base_tests + self.line_points
+
 
 def unbalanced_interval(
     obs: ObservedCounts,

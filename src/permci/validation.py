@@ -19,14 +19,11 @@ from .core import (
     CapacityError,
     CountVector,
     Design,
-    Interval,
     ObservedCounts,
     ValidationError,
     tau,
 )
-from .balanced import fast_interval_balanced
-from .baseline import enumerated_interval
-from .exactdist import ExactTester
+from .api import interval
 from .missing import MaskedCounts, missing_interval
 from .montecarlo import McConfig, mc_interval_balanced, required_k_balanced
 from .unbalanced import unbalanced_interval
@@ -116,23 +113,10 @@ def observed_from_split(y: CountVector, split: tuple[int, int, int, int]) -> Obs
     )
 
 
-def _interval_for(obs: ObservedCounts, alpha: float, method: str) -> Interval:
-    if method == "auto":
-        method = "fast" if obs.design.balanced else "unbalanced-exact"
-    if method == "fast":
-        return fast_interval_balanced(alpha, obs).interval
-    if method == "unbalanced-exact":
-        return unbalanced_interval(obs, alpha=alpha, mode="exact").interval
-    if method == "enumeration":
-        return enumerated_interval(alpha, obs).interval
-    raise ValidationError(f"unknown method {method!r}")
-
-
 def coverage_exhaustive(
     y: CountVector,
     alpha: float,
     d: Design | None = None,
-    method: str = "auto",
 ) -> Fraction:
     """Exact coverage probability of the interval for a known truth ``y``.
 
@@ -159,7 +143,7 @@ def coverage_exhaustive(
         key = obs.astuple()
         hit = cache.get(key)
         if hit is None:
-            hit = _interval_for(obs, alpha, method).contains(truth)
+            hit = interval(obs, alpha).interval.contains(truth)
             cache[key] = hit
         if hit:
             covered += weight
@@ -272,13 +256,10 @@ def length_bound_sweep(
     for n in n_list:
         if n % 2:
             raise ValidationError("length sweep uses balanced designs; n must be even")
-        mode = "rational" if n <= 64 else "float"
         longest = 0.0
         for _ in range(per_n):
             obs = random_balanced_obs(n, rng)
-            tester = ExactTester(obs, alpha, mode=mode)
-            iv = fast_interval_balanced(alpha, obs, tester=tester).interval
-            longest = max(longest, float(iv.length))
+            longest = max(longest, float(interval(obs, alpha).interval.length))
         rows.append(LengthRow(n, per_n, longest, math.sqrt(32 * math.log(2 / alpha) / n)))
     return rows
 
@@ -307,7 +288,7 @@ def count_bound_sweep(
         worst = 0
         for _ in range(per_n):
             obs = random_balanced_obs(n, rng)
-            worst = max(worst, fast_interval_balanced(alpha, obs).tests)
+            worst = max(worst, interval(obs, alpha).tests)
         rows.append(CountRow(n, per_n, worst, 4 * n * math.log2(n)))
     return rows
 
@@ -324,27 +305,17 @@ def table1_repro(alpha: float = 0.05) -> list[dict]:
     out = []
     for counts, scaled, _, _ in REFERENCE_ROWS:
         obs = ObservedCounts(*counts)
-        enum = enumerated_interval(alpha, obs)
-        fast = fast_interval_balanced(alpha, obs)
-        general = unbalanced_interval(obs, alpha=alpha, mode="exact")
-        out.append(
-            {
-                "counts": counts,
-                "expected_scaled": list(scaled),
-                "enumeration": {
-                    "scaled": list(enum.interval.scaled(obs.n)),
-                    "tests": enum.tuple_tests,
-                },
-                "fast_balanced": {
-                    "scaled": list(fast.interval.scaled(obs.n)),
-                    "tests": fast.tests,
-                },
-                "general_exact": {
-                    "scaled": list(general.interval.scaled(obs.n)),
-                    "tests": general.base_tests + general.line_points,
-                },
-            }
-        )
+        runs = {
+            "enumeration": interval(obs, alpha, "enum"),
+            "fast_balanced": interval(obs, alpha),
+            # The general search on equal groups cross-checks the fast one.
+            "general_exact": unbalanced_interval(obs, alpha=alpha, mode="exact"),
+        }
+        row = {"counts": counts, "expected_scaled": list(scaled)}
+        for name, res in runs.items():
+            row[name] = {"scaled": list(res.interval.scaled(obs.n)), "tests": res.tests}
+        row["match"] = all(row[name]["scaled"] == row["expected_scaled"] for name in runs)
+        out.append(row)
     return out
 
 

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from permci.cli import main, read_subject_file
+from permci.core import ObservedCounts
+from permci.montecarlo import McConfig
+from permci.unbalanced import unbalanced_interval
 
 
 def run_cli(capsys, *argv):
@@ -183,3 +186,22 @@ def test_bench_table1(capsys):
 def test_bench_requires_a_mode(capsys):
     assert main(["bench"]) == 2
     capsys.readouterr()
+
+
+def test_bad_k_usage_error(capsys):
+    base = ["mc", "--counts", "3,2,6,9", "--eps", "0.02", "--seed", "7"]
+    assert_usage_exit(base + ["--k", "abc"], capsys)
+    assert_usage_exit(base + ["--k", "0"], capsys)
+
+
+def test_mc_unequal_groups_counts_line_points(capsys):
+    code, out, _ = run_cli(
+        capsys, "mc", "--counts", "3,2,6,9", "--eps", "0.02", "--k", "500", "--seed", "7",
+        "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    cfg = McConfig(alpha=report["alpha_effective"], eps=0.02, k=500, seed=7)
+    direct = unbalanced_interval(ObservedCounts(3, 2, 6, 9), mode="mc", cfg=cfg)
+    assert direct.line_points > 0
+    assert report["tests"] == direct.base_tests + direct.line_points
