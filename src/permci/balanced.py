@@ -2,17 +2,22 @@
 
 Two ingredients:
 
-1. A per-effect compatibility scan.  For a candidate effect ``tau0``, the
-   possible tables with that effect form lines indexed by ``j`` (number of
-   subjects whose treatment outcome is 1).  Along each line, moving one
+1. A per-effect compatibility scan, `is_compatible_balanced`, the only code
+   that walks the balanced test sites.  For a candidate effect ``tau0``,
+   the possible tables with that effect form lines indexed by ``j`` (number
+   of subjects whose treatment outcome is 1).  Along each line, moving one
    subject from the contrast classes into the concordant classes — the step
    ``(+1, -1, -1, +1)`` — can only increase the p-value when the groups are
    equal, so only the smallest feasible ``v10`` per ``j`` needs testing.
    The single exception is a line whose tested endpoint has
-   ``v10 = v01 = 0`` (no contrast subjects at all): its distribution lives
-   on a coarser parity sublattice and the monotonicity argument does not
-   reach it, so the ``v10 = 1`` neighbor is tested as well.  At most ``n+1``
-   tests decide compatibility (``2(n+1)`` when ``tau0 = 0``).
+   ``v10 = v01 = 0`` (no contrast subjects at all, possible only at
+   ``tau0 = 0``): its distribution lives on a coarser parity sublattice and
+   the monotonicity argument does not reach it, so the ``v10 = 1`` neighbor
+   is the next site in scan order.  The scan stops at the first acceptance,
+   so the neighbor counts only when its base was rejected.  At most ``n+1``
+   tests decide compatibility (``2(n+1)`` when ``tau0 = 0``).  Sites are
+   decided one at a time, or in blocks of ``2 * threads`` on a thread pool;
+   the tests counted are the same either way.
 
 2. A bisection over candidate effects.  The accepted effects form an
    interval containing the point estimate, so the upper endpoint is found by
@@ -26,8 +31,11 @@ Total: at most ``4 n log2(n)`` permutation tests for ``n >= 15``.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from itertools import islice
+from typing import Callable, Iterator, Protocol
 
 from .core import (
     CountVector,
@@ -43,7 +51,9 @@ from .feasibility import family_vector, feasible_v10_range
 
 class TableTester(Protocol):
     """Accept/reject decision for one table; ``key`` identifies the test site
-    ``(scaled tau0, j, variant)`` so seeded testers can derive substreams."""
+    ``(scaled tau0, j, variant)`` so seeded testers can derive substreams.
+    Implementations hold no mutable state, so a scan may call ``decide``
+    from several threads at once."""
 
     def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool: ...
 
@@ -78,31 +88,46 @@ class ScanOutcome:
     tests: int
 
 
-def is_compatible_balanced(
-    ntau0: int,
-    obs: ObservedCounts,
-    tester: TableTester,
-) -> ScanOutcome:
-    """Decide whether some possible table with effect ``ntau0 / n`` is accepted.
+def _sites(ntau0: int, obs: ObservedCounts) -> Iterator[tuple[CountVector, tuple[int, int, int]]]:
+    """Test sites of one effect in scan order, as ``(table, key)`` pairs.
 
-    Scans ``j`` ascending; per ``j`` tests the smallest feasible ``v10`` and,
-    when that table has no contrast subjects and is rejected, also its
-    ``v10 = 1`` neighbor if possible.  Accepts at the first accepted table.
+    Per ``j`` ascending: the smallest feasible ``v10``, then the ``v10 = 1``
+    neighbor when that table has no contrast subjects.  Feasibility is
+    computed per ``j`` only as the scan reaches it.
     """
     n = obs.n
-    tests = 0
     for j in range(n + 1):
         rng = feasible_v10_range(j, ntau0, obs)
         if rng is None:
             continue
         v = family_vector(j, rng.lo, ntau0, n)
-        tests += 1
-        if tester.decide(v, (ntau0, j, 0)):
-            return ScanOutcome(True, tests)
+        yield v, (ntau0, j, 0)
         if v.v10 == 0 and v.v01 == 0 and 1 in rng:
-            v1 = family_vector(j, 1, ntau0, n)
+            yield family_vector(j, 1, ntau0, n), (ntau0, j, 1)
+
+
+def is_compatible_balanced(
+    ntau0: int,
+    obs: ObservedCounts,
+    tester: TableTester,
+    pool: ThreadPoolExecutor | None = None,
+    width: int = 1,
+) -> ScanOutcome:
+    """Decide whether some possible table with effect ``ntau0 / n`` is accepted.
+
+    Tests the sites in scan order and accepts at the first accepted table.
+    Without a ``pool`` the sites are decided one at a time as the scan
+    reaches them.  With one, blocks of ``width`` sites are decided
+    concurrently and read in order; decisions past the first acceptance are
+    discarded, so the outcome and the count equal the sequential scan's.
+    """
+    sites = _sites(ntau0, obs)
+    width, decide = (1, map) if pool is None else (width, pool.map)
+    tests = 0
+    while block := list(islice(sites, width)):
+        for accepted in decide(lambda site: tester.decide(*site), block):
             tests += 1
-            if tester.decide(v1, (ntau0, j, 1)):
+            if accepted:
                 return ScanOutcome(True, tests)
     return ScanOutcome(False, tests)
 
@@ -111,8 +136,6 @@ def is_compatible_balanced(
 class SearchResult:
     interval: Interval
     tests: int
-    tau0_evaluations: int
-    distinct_tables: int
 
 
 def _scaled_estimate(obs: ObservedCounts) -> int:
@@ -124,15 +147,18 @@ def fast_interval_balanced(
     alpha: float,
     obs: ObservedCounts,
     tester: TableTester | None = None,
-    scan: Callable[[int, ObservedCounts, TableTester], ScanOutcome] | None = None,
+    threads: int = 1,
 ) -> SearchResult:
     """Level ``1 - alpha`` interval via bisection over candidate effects.
 
     Requires equal group sizes.  ``tester`` defaults to the exact rational
     tester; a Monte Carlo tester yields the approximate variant with the same
-    control flow.  The result of an exact run always contains the point
-    estimate; with a noisy tester the two endpoint searches can in principle
-    cross, in which case the empty interval is returned.
+    control flow.  With ``threads > 1`` each scan decides its sites in blocks
+    of ``2 * threads`` on a pool of that many threads; the interval and the
+    test count do not depend on ``threads``.  The result of an exact run
+    always contains the point estimate; with a noisy tester the two endpoint
+    searches can in principle cross, in which case the empty interval is
+    returned.
     """
     alpha_fraction(alpha)
     d = obs.design
@@ -140,43 +166,40 @@ def fast_interval_balanced(
         raise ValidationError("fast_interval_balanced requires equal group sizes")
     if tester is None:
         tester = ExactTester(obs, alpha)
-    if scan is None:
-        scan = is_compatible_balanced
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        total_tests = 0
+        memo: dict[int, bool] = {}
 
-    total_tests = 0
-    memo: dict[int, bool] = {}
+        def compatible(s: int) -> bool:
+            nonlocal total_tests
+            got = memo.get(s)
+            if got is None:
+                outcome = is_compatible_balanced(s, obs, tester, pool, 2 * threads)
+                memo[s] = got = outcome.compatible
+                total_tests += outcome.tests
+            return got
 
-    def compatible(s: int) -> bool:
-        nonlocal total_tests
-        got = memo.get(s)
-        if got is None:
-            outcome = scan(s, obs, tester)
-            memo[s] = got = outcome.compatible
-            total_tests += outcome.tests
-        return got
+        anchor = _scaled_estimate(obs)
+        c_range = c_set(obs)
+        if anchor not in c_range:
+            raise ValidationError("internal: estimate outside attainable effects")
 
-    anchor = _scaled_estimate(obs)
-    c_range = c_set(obs)
-    if anchor not in c_range:
-        raise ValidationError("internal: estimate outside attainable effects")
+        if anchor == c_range.smax:
+            upper = anchor if compatible(anchor) else None
+        else:
+            upper = binary_search(lambda x: 0 if compatible(x) else 1, anchor, c_range.smax)
+            if upper < anchor:
+                upper = None
+        if anchor == c_range.smin:
+            lower = anchor if compatible(anchor) else None
+        else:
+            mirrored = binary_search(
+                lambda y: 0 if compatible(-y) else 1, -anchor, -c_range.smin
+            )
+            lower = -mirrored if mirrored >= -anchor else None
 
-    if anchor == c_range.smax:
-        upper = anchor if compatible(anchor) else None
-    else:
-        upper = binary_search(lambda x: 0 if compatible(x) else 1, anchor, c_range.smax)
-        if upper < anchor:
-            upper = None
-    if anchor == c_range.smin:
-        lower = anchor if compatible(anchor) else None
-    else:
-        mirrored = binary_search(
-            lambda y: 0 if compatible(-y) else 1, -anchor, -c_range.smin
-        )
-        lower = -mirrored if mirrored >= -anchor else None
-
-    if upper is None or lower is None:
-        interval = Interval.empty()
-    else:
-        interval = Interval.from_scaled(lower, upper, obs.n)
-    distinct = getattr(tester, "distinct_tables", 0)
-    return SearchResult(interval, total_tests, len(memo), distinct)
+        if upper is None or lower is None:
+            interval = Interval.empty()
+        else:
+            interval = Interval.from_scaled(lower, upper, obs.n)
+        return SearchResult(interval, total_tests)

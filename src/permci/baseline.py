@@ -6,7 +6,7 @@ responders would also have responded under control (``i``), and likewise
 ``j``, ``k``, ``l`` for the other three cells.  Testing all
 ``(n11+1)(n10+1)(n01+1)(n00+1)`` tuples and taking the extreme accepted
 effects yields the interval every faster construction must reproduce.  The
-tuple-to-table map is not injective; duplicated tables hit the p-value cache,
+tuple-to-table map is not injective; each distinct table is tested once,
 while the reported test count still counts every tuple so that the cost of
 the enumeration is stated honestly.
 
@@ -15,9 +15,11 @@ Works for any group sizes.  This module exists for correctness, not speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 
-from .core import CountVector, Design, Interval, ObservedCounts, alpha_fraction
+from .core import CountVector, Interval, ObservedCounts
 from .exactdist import ExactTester
 
 
@@ -25,7 +27,6 @@ from .exactdist import ExactTester
 class EnumerationResult:
     interval: Interval
     tuple_tests: int
-    distinct_tables: int
 
 
 def imputation_vector(obs: ObservedCounts, i: int, j: int, k: int, l: int) -> CountVector:
@@ -38,12 +39,7 @@ def imputation_vector(obs: ObservedCounts, i: int, j: int, k: int, l: int) -> Co
     )
 
 
-def enumerated_interval(
-    alpha: float,
-    obs: ObservedCounts,
-    d: Design | None = None,
-    tester: ExactTester | None = None,
-) -> EnumerationResult:
+def enumerated_interval(alpha: float, obs: ObservedCounts) -> EnumerationResult:
     """Interval of effects whose best possible table passes the level-alpha test.
 
     Returns the closed hull [min accepted effect, max accepted effect]; the
@@ -51,31 +47,12 @@ def enumerated_interval(
     hull is exact there, and the hull is what the faster constructions are
     compared against in general.
     """
-    alpha_fraction(alpha)
-    if d is None:
-        d = obs.design
+    tester = ExactTester(obs, alpha)
+    cells = [range(c + 1) for c in obs.astuple()]
+    tables = {imputation_vector(obs, *t) for t in product(*cells)}
+    accepted = [v.v10 - v.v01 for v in tables if tester.decide(v)]
+    if accepted:
+        interval = Interval.from_scaled(min(accepted), max(accepted), obs.n)
     else:
-        obs.check_consistent(d)
-    if tester is None:
-        tester = ExactTester(obs, alpha)
-    n11, n10, n01, n00 = obs.astuple()
-    tuple_tests = 0
-    s_lo: int | None = None
-    s_hi: int | None = None
-    for i in range(n11 + 1):
-        for j in range(n10 + 1):
-            for k in range(n01 + 1):
-                for l in range(n00 + 1):
-                    tuple_tests += 1
-                    v = imputation_vector(obs, i, j, k, l)
-                    if tester.decide(v):
-                        s = v.v10 - v.v01
-                        if s_lo is None or s < s_lo:
-                            s_lo = s
-                        if s_hi is None or s > s_hi:
-                            s_hi = s
-    if s_lo is None:
         interval = Interval.empty()
-    else:
-        interval = Interval.from_scaled(s_lo, s_hi, obs.n)
-    return EnumerationResult(interval, tuple_tests, tester.distinct_tables)
+    return EnumerationResult(interval, math.prod(map(len, cells)))

@@ -152,12 +152,17 @@ def _cmd_interval(args: argparse.Namespace) -> int:
     cfg = None
     threads = 1
     if args.method == "mc":
-        if not args.eps < args.alpha:
-            print(f"usage error: eps must be smaller than alpha ({args.eps} >= {args.alpha})", file=sys.stderr)
+        # The tests run at alpha - eps, and McConfig needs eps below that level.
+        level = args.alpha - args.eps
+        if not args.eps < level:
+            print(
+                f"usage error: eps must be smaller than alpha - eps, the level the tests use "
+                f"(--eps {args.eps}, --alpha {args.alpha}, alpha - eps = {level:.10g})",
+                file=sys.stderr,
+            )
             return USAGE_ERROR
         recommended = required_k(args.eps, obs)
         k = recommended if args.k == "auto" else args.k
-        level = args.alpha - args.eps
         cfg = McConfig(alpha=level, eps=args.eps, k=k, seed=args.seed)
         threads = args.threads
         report.update(

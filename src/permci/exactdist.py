@@ -54,19 +54,6 @@ FLOAT_MODE_MAX_N = 5000
 
 
 @dataclass(frozen=True)
-class TreatmentSplit:
-    """Counts of each potential-outcome class assigned to treatment."""
-
-    x11: int
-    x10: int
-    x01: int
-    x00: int
-
-    def astuple(self) -> tuple[int, int, int, int]:
-        return (self.x11, self.x10, self.x01, self.x00)
-
-
-@dataclass(frozen=True)
 class StatPmf:
     """Distribution of the statistic, as (value, probability) pairs.
 
@@ -262,88 +249,27 @@ def exact_pvalue(
     raise ValidationError(f"unknown mode {mode!r}")
 
 
-def copas_pmf_term(
-    v: CountVector, d: Design, s1: int, s0: int, mode: str = "rational"
-) -> Fraction | float:
-    """Probability that a split shows ``s1`` treated-group and ``s0``
-    control-group successes.
-
-    Closed form: sum over the free coordinate ``x = x11`` of the product of
-    four binomials, normalized by C(n,m).
-    """
-    _check_v_d(v, d)
-    v11, v10, v01, v00 = v.astuple()
-    m = d.m
-    if not (0 <= s1 <= m and 0 <= s0 <= v11 + v01):
-        return Fraction(0) if mode == "rational" else 0.0
-
-    def comb0(nn: int, kk: int) -> int:
-        return math.comb(nn, kk) if 0 <= kk <= nn else 0
-
-    acc = 0
-    for x in range(0, min(v11, s1) + 1):
-        acc += (
-            comb0(v11, x)
-            * comb0(v10, s1 - x)
-            * comb0(v01, v11 + v01 - s0 - x)
-            * comb0(v00, m - v11 - s1 - v01 + s0 + x)
-        )
-    result = Fraction(acc, math.comb(d.n, m))
-    return result if mode == "rational" else float(result)
-
-
-class PvalueCache:
-    """Memoized exact p-values against one fixed set of observed counts.
-
-    Keyed by the count vector; repeated tables across an interval search are
-    evaluated once.  One instance belongs to one search (single-threaded),
-    which keeps it trivially safe.
-    """
-
-    def __init__(self, obs: ObservedCounts, mode: str = "rational") -> None:
-        self.obs = obs
-        self.mode = mode
-        self._cache: dict[tuple[int, int, int, int], Fraction | float] = {}
-        self.hits = 0
-
-    def pvalue(self, v: CountVector) -> Fraction | float:
-        key = v.astuple()
-        got = self._cache.get(key)
-        if got is not None:
-            self.hits += 1
-            return got
-        p = exact_pvalue(v, self.obs, self.mode)
-        self._cache[key] = p
-        return p
-
-    @property
-    def distinct_tables(self) -> int:
-        return len(self._cache)
-
-
 class ExactTester:
     """Accept/reject tables at level alpha using exact permutation p-values.
 
     In rational mode the comparison ``p >= alpha`` is exact.  In float mode
     p-values within FLOAT_P_TOL of alpha are accepted, which can only widen
-    intervals and therefore cannot hurt coverage.
+    intervals and therefore cannot hurt coverage.  Every decision computes
+    its p-value afresh; the tester holds no mutable state, so one instance
+    may decide tables on several threads at once.
     """
 
     def __init__(self, obs: ObservedCounts, alpha: float | Fraction, mode: str = "rational"):
+        self.obs = obs
         self.alpha = alpha_fraction(alpha)
         self.mode = mode
-        self.cache = PvalueCache(obs, mode)
         self._alpha_float = float(self.alpha)
 
     def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool:
-        p = self.cache.pvalue(v)
+        p = exact_pvalue(v, self.obs, self.mode)
         if self.mode == "rational":
             return p >= self.alpha
         return p >= self._alpha_float - FLOAT_P_TOL
-
-    @property
-    def distinct_tables(self) -> int:
-        return self.cache.distinct_tables
 
 
 def pmf_is_symmetric(pmf: StatPmf, center: ScaledEffect) -> bool:

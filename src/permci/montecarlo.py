@@ -16,8 +16,8 @@ level ``alpha - eps``.
 Reproducibility: sample ``i`` of the test at site ``(tau0, j, variant)`` is
 a function of ``(seed, tau0, j, variant, i)`` alone.  Each test site derives
 its own counter-based generator, so results are bit-identical regardless of
-how many worker threads execute the scan, and line scans can extend a site's
-stream without touching any other site.
+how many worker threads the balanced scan decides its blocks of sites on,
+and line scans can extend a site's stream without touching any other site.
 
 Assignments are drawn as per-class treatment splits by chained hypergeometric
 draws — the same distribution as summarizing a uniformly shuffled assignment
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,9 +41,8 @@ from .core import (
     ValidationError,
     alpha_fraction,
 )
-from .balanced import ScanOutcome, fast_interval_balanced, is_compatible_balanced
-from .exactdist import TreatmentSplit, observed_gap
-from .feasibility import family_vector, feasible_v10_range
+from .balanced import fast_interval_balanced
+from .exactdist import observed_gap
 
 
 @dataclass(frozen=True)
@@ -115,12 +113,6 @@ def sample_splits(
     return out[0], out[1], out[2], out[3]
 
 
-def sample_split(v: CountVector, d: Design, rng: np.random.Generator) -> TreatmentSplit:
-    """A single treatment split; see `sample_splits`."""
-    x11, x10, x01, x00 = (int(a[0]) for a in sample_splits(v, d, rng, 1))
-    return TreatmentSplit(x11, x10, x01, x00)
-
-
 def extreme_counts(
     v: CountVector,
     obs: ObservedCounts,
@@ -146,10 +138,6 @@ class McDecision:
     accept: bool
     hits: int
     k: int
-
-    @property
-    def s_hat(self) -> float:
-        return self.hits / self.k
 
 
 def mc_test(
@@ -196,48 +184,11 @@ class McTester:
         return mc_test(self.cfg, v, self.obs, rng).accept
 
 
-def _mc_scan_parallel(tester: McTester, pool: ThreadPoolExecutor, width: int):
-    """Compatibility scan running per-line tests concurrently.
-
-    Decisions and counts are identical to the sequential scan: each site has
-    its own substream, blocks are collected in line order, and the count
-    includes exactly the tests a sequential run would have performed (work
-    past the first acceptance inside a block is discarded).  The zero-effect
-    scan keeps the sequential path because of its conditional second test.
-    """
-
-    def scan(ntau0: int, obs: ObservedCounts, tester_) -> ScanOutcome:
-        if ntau0 == 0:
-            return is_compatible_balanced(ntau0, obs, tester_)
-        n = obs.n
-        sites = []
-        for j in range(n + 1):
-            rng = feasible_v10_range(j, ntau0, obs)
-            if rng is not None:
-                sites.append((j, family_vector(j, rng.lo, ntau0, n)))
-        tests = 0
-        for start in range(0, len(sites), width):
-            block = sites[start : start + width]
-            futures = [
-                pool.submit(tester_.decide, v, (ntau0, j, 0)) for j, v in block
-            ]
-            for fut in futures:
-                tests += 1
-                if fut.result():
-                    return ScanOutcome(True, tests)
-        return ScanOutcome(False, tests)
-
-    return scan
-
-
 @dataclass(frozen=True)
 class McSearchResult:
     interval: Interval
     tests: int
-    tau0_evaluations: int
     samples_drawn: int
-    k: int
-    seed: int
 
 
 def mc_interval_balanced(
@@ -245,19 +196,11 @@ def mc_interval_balanced(
 ) -> McSearchResult:
     """Monte Carlo interval for equal group sizes.
 
-    Same control flow as the exact search with `mc_test` substituted per
-    site; deterministic given ``(cfg.seed, obs)`` for any thread count.
+    The exact search with `mc_test` substituted per site; deterministic
+    given ``(cfg.seed, obs)`` for any thread count.
     """
     d = obs.design
     if not d.balanced:
         raise ValidationError("mc_interval_balanced requires equal group sizes")
-    tester = McTester(cfg, obs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scan = _mc_scan_parallel(tester, pool, width=2 * threads)
-            res = fast_interval_balanced(cfg.alpha, obs, tester=tester, scan=scan)
-    else:
-        res = fast_interval_balanced(cfg.alpha, obs, tester=tester)
-    return McSearchResult(
-        res.interval, res.tests, res.tau0_evaluations, res.tests * cfg.k, cfg.k, cfg.seed
-    )
+    res = fast_interval_balanced(cfg.alpha, obs, tester=McTester(cfg, obs), threads=threads)
+    return McSearchResult(res.interval, res.tests, res.tests * cfg.k)

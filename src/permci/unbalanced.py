@@ -38,7 +38,6 @@ from .core import (
     ContractError,
     CountVector,
     Design,
-    ExactStat,
     Interval,
     ObservedCounts,
     ValidationError,
@@ -48,57 +47,6 @@ from .core import (
 from .exactdist import ExactTester, observed_gap
 from .feasibility import family_vector, feasible_v10_range, is_possible
 from .montecarlo import McConfig, sample_splits, substream
-
-
-@dataclass(frozen=True)
-class AssignmentSummary:
-    """Counts of each potential-outcome class in each group for one assignment."""
-
-    q11: tuple[int, int]  # (control count, treatment count) of class (1,1)
-    q10: tuple[int, int]
-    q01: tuple[int, int]
-    q00: tuple[int, int]
-
-    def table(self) -> CountVector:
-        return CountVector(
-            sum(self.q11), sum(self.q10), sum(self.q01), sum(self.q00)
-        )
-
-    def validate(self, d: Design) -> None:
-        treated = self.q11[1] + self.q10[1] + self.q01[1] + self.q00[1]
-        controls = self.q11[0] + self.q10[0] + self.q01[0] + self.q00[0]
-        if treated != d.m or controls != d.controls:
-            raise ValidationError("summary group totals do not match the design")
-
-
-def stat_from_summary(q: AssignmentSummary, d: Design) -> ExactStat:
-    """Difference in group means of the assignment the summary describes."""
-    q.validate(d)
-    num = (q.q11[1] + q.q10[1]) * d.controls - (q.q11[0] + q.q01[0]) * d.m
-    return ExactStat(num, d.m, d.controls)
-
-
-def step_summary(q: AssignmentSummary, rng: np.random.Generator) -> AssignmentSummary:
-    """Resummarize after converting one (0,0) subject to (0,1) and one (1,1)
-    subject to (1,0), each chosen uniformly within its class.
-
-    Keeping each converted subject's group with probability proportional to
-    the group's share of its class makes the output distributed as a uniform
-    assignment of the stepped table, whenever the input was one of the
-    original table.
-    """
-    v00 = sum(q.q00)
-    v11 = sum(q.q11)
-    if v00 < 1 or v11 < 1:
-        raise ContractError("stepping requires at least one (0,0) and one (1,1) subject")
-    q00, q01, q11, q10 = list(q.q00), list(q.q01), list(q.q11), list(q.q10)
-    group = 0 if rng.random() * v00 < q00[0] else 1
-    q00[group] -= 1
-    q01[group] += 1
-    group = 0 if rng.random() * v11 < q11[0] else 1
-    q11[group] -= 1
-    q10[group] += 1
-    return AssignmentSummary(tuple(q11), tuple(q10), tuple(q01), tuple(q00))
 
 
 class SummaryBatch:
@@ -146,51 +94,22 @@ class SummaryBatch:
         gap = observed_gap(self.v, obs)
         return int(np.count_nonzero(np.abs(num * obs.n - s * d.m * d.controls) >= gap))
 
-    def summaries(self) -> list[AssignmentSummary]:
-        return [
-            AssignmentSummary(
-                (int(self.c11[i]), int(self.t11[i])),
-                (int(self.c10[i]), int(self.t10[i])),
-                (int(self.c01[i]), int(self.t01[i])),
-                (int(self.c00[i]), int(self.t00[i])),
-            )
-            for i in range(self.k)
-        ]
-
-
-@dataclass(frozen=True)
-class LineSegment:
-    """The feasible continuation ``base + k*(-1,+1,+1,-1)``, k = 1..count."""
-
-    base: CountVector
-    count: int
-
-
-def scan_line(
-    cfg: McConfig,
-    seg: LineSegment,
-    obs: ObservedCounts,
-    batch: SummaryBatch,
-    rng: np.random.Generator,
-) -> bool:
-    """Walk a line reusing the base samples; True if any point accepts.
-
-    The caller has already tested (and rejected) the base, so the walk starts
-    one step in.  Every visited table is asserted possible.
-    """
-    accepted, _ = _walk_line(cfg, seg, obs, batch, rng)
-    return accepted
-
 
 def _walk_line(
     cfg: McConfig,
-    seg: LineSegment,
+    count: int,
     obs: ObservedCounts,
     batch: SummaryBatch,
     rng: np.random.Generator,
 ) -> tuple[bool, int]:
+    """Step the batch ``count`` times along its line, reusing its samples.
+
+    The caller has already tested (and rejected) the base, so the walk
+    starts one step in.  Returns whether some point accepts and the number
+    of points tested.  Every visited table is asserted possible.
+    """
     threshold = cfg.accept_count
-    for step in range(1, seg.count + 1):
+    for step in range(1, count + 1):
         batch.step(rng)
         if not is_possible(batch.v, obs):
             raise ContractError(
@@ -198,7 +117,7 @@ def _walk_line(
             )
         if batch.extreme_hits(obs) >= threshold:
             return True, step
-    return False, seg.count
+    return False, count
 
 
 def required_k_unbalanced(eps: float, n: int) -> int:
@@ -216,8 +135,6 @@ class UnbalancedResult:
     interval: Interval
     base_tests: int
     line_points: int
-    tau0_evaluations: int
-    mode: str
 
     @property
     def tests(self) -> int:
@@ -271,18 +188,14 @@ def unbalanced_interval(
             upper = s
             break
     if upper is None:
-        return UnbalancedResult(
-            Interval.empty(), counters["base"], counters["line"], len(memo), mode
-        )
+        return UnbalancedResult(Interval.empty(), counters["base"], counters["line"])
     lower = None
     for s in range(effects.smin, upper + 1):
         if compatible(s):
             lower = s
             break
     interval = Interval.from_scaled(lower, upper, obs.n)
-    return UnbalancedResult(
-        interval, counters["base"], counters["line"], len(memo), mode
-    )
+    return UnbalancedResult(interval, counters["base"], counters["line"])
 
 
 def _compatible_exact(
@@ -319,9 +232,9 @@ def _compatible_mc(
         counters["base"] += 1
         if batch.extreme_hits(obs) >= cfg.accept_count:
             return True
-        seg = LineSegment(base, len(rng_range) - 1)
-        if seg.count:
-            accepted, points = _walk_line(cfg, seg, obs, batch, rng)
+        count = len(rng_range) - 1
+        if count:
+            accepted, points = _walk_line(cfg, count, obs, batch, rng)
             counters["line"] += points
             if accepted:
                 return True

@@ -293,6 +293,9 @@ def count_bound_sweep(
     return rows
 
 
+#: Level at which the endpoints in `REFERENCE_ROWS` were recorded.
+REFERENCE_ALPHA = 0.05
+
 REFERENCE_ROWS = [
     ((2, 6, 8, 0), (-14, -5), 189, 24),
     ((6, 4, 4, 6), (-4, 10), 1225, 16),
@@ -300,8 +303,13 @@ REFERENCE_ROWS = [
 ]
 
 
-def table1_repro(alpha: float = 0.05) -> list[dict]:
-    """The three reference observations through all three constructions."""
+def table1_repro(alpha: float = REFERENCE_ALPHA) -> list[dict]:
+    """The three reference observations through all three constructions.
+
+    A row matches when the three constructions agree and, at
+    `REFERENCE_ALPHA`, equal the recorded endpoints; at any other level
+    ``expected_scaled`` is None.
+    """
     out = []
     for counts, scaled, _, _ in REFERENCE_ROWS:
         obs = ObservedCounts(*counts)
@@ -311,10 +319,12 @@ def table1_repro(alpha: float = 0.05) -> list[dict]:
             # The general search on equal groups cross-checks the fast one.
             "general_exact": unbalanced_interval(obs, alpha=alpha, mode="exact"),
         }
-        row = {"counts": counts, "expected_scaled": list(scaled)}
+        expected = list(scaled) if alpha == REFERENCE_ALPHA else None
+        row = {"counts": counts, "expected_scaled": expected}
         for name, res in runs.items():
             row[name] = {"scaled": list(res.interval.scaled(obs.n)), "tests": res.tests}
-        row["match"] = all(row[name]["scaled"] == row["expected_scaled"] for name in runs)
+        found = {tuple(row[name]["scaled"]) for name in runs}
+        row["match"] = len(found) == 1 and (expected is None or found == {tuple(expected)})
         out.append(row)
     return out
 

@@ -20,7 +20,6 @@ from permci.montecarlo import (
     McConfig,
     mc_interval_balanced,
     required_k_balanced,
-    sample_split,
     substream,
 )
 from permci.unbalanced import SummaryBatch, unbalanced_interval
@@ -32,7 +31,7 @@ from permci.validation import (
     mc_growth,
 )
 
-from _oracles import all_count_vectors, all_observed
+from _oracles import all_count_vectors, all_observed, sample_split
 
 THREADS = 2
 

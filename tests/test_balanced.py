@@ -160,3 +160,15 @@ def test_monotone_step_direction_small():
                     v.astuple(),
                     obs.astuple(),
                 )
+
+
+@pytest.mark.parametrize(
+    "counts,mode", [((2, 6, 8, 0), "rational"), ((20, 13, 14, 19), "float")]
+)
+def test_exact_search_thread_invariant(counts, mode):
+    obs = ObservedCounts(*counts)
+    tester = ExactTester(obs, 0.05, mode)
+    one = fast_interval_balanced(0.05, obs, tester=tester)
+    two = fast_interval_balanced(0.05, obs, tester=tester, threads=2)
+    assert two.interval == one.interval and not one.interval.is_empty
+    assert two.tests == one.tests

@@ -183,6 +183,14 @@ def test_bench_table1(capsys):
     assert out.count("OK") == 3
 
 
+def test_bench_table1_other_alpha(capsys):
+    # The recorded endpoints are for alpha = 0.05; at another level a row
+    # matches when the three constructions agree.
+    code, out, _ = run_cli(capsys, "bench", "--table1", "--alpha", "0.1")
+    assert code == 0
+    assert out.count("OK") == 3
+
+
 def test_bench_requires_a_mode(capsys):
     assert main(["bench"]) == 2
     capsys.readouterr()
@@ -192,6 +200,15 @@ def test_bad_k_usage_error(capsys):
     base = ["mc", "--counts", "3,2,6,9", "--eps", "0.02", "--seed", "7"]
     assert_usage_exit(base + ["--k", "abc"], capsys)
     assert_usage_exit(base + ["--k", "0"], capsys)
+
+
+def test_mc_eps_must_be_below_the_effective_level(capsys):
+    # eps = 0.03 < alpha = 0.05, but the tests would run at alpha - eps = 0.02 < eps.
+    code, _, err = run_cli(
+        capsys, "mc", "--counts", "3,2,6,9", "--alpha", "0.05", "--eps", "0.03", "--seed", "7"
+    )
+    assert code == 2
+    assert "--alpha 0.05" in err and "alpha - eps = 0.02)" in err
 
 
 def test_mc_unequal_groups_counts_line_points(capsys):

@@ -7,15 +7,13 @@ import pytest
 from permci.core import CapacityError, CountVector, Design, ObservedCounts, tau
 from permci.exactdist import (
     ExactTester,
-    PvalueCache,
-    copas_pmf_term,
     exact_pmf,
     exact_pvalue,
     pmf_is_symmetric,
     split_weights,
 )
 
-from _oracles import all_count_vectors, assignment_pmf, assignment_pvalue
+from _oracles import all_count_vectors, assignment_pmf, assignment_pvalue, copas_pmf_term
 
 
 def as_fraction_pmf(v, d):
@@ -158,16 +156,6 @@ def test_split_weights_total_is_binomial():
         d = Design(n, m)
         for v in all_count_vectors(n):
             assert sum(split_weights(v, d).values()) == math.comb(n, m)
-
-
-def test_pvalue_cache_counts():
-    obs = ObservedCounts(2, 2, 2, 2)
-    cache = PvalueCache(obs)
-    v = CountVector(2, 2, 2, 2)
-    p1 = cache.pvalue(v)
-    p2 = cache.pvalue(v)
-    assert p1 == p2
-    assert cache.distinct_tables == 1 and cache.hits == 1
 
 
 def test_exact_tester_threshold_is_exact():

@@ -12,11 +12,12 @@ from permci.montecarlo import (
     mc_interval_balanced,
     mc_test,
     required_k_balanced,
-    sample_split,
     sample_splits,
     substream,
 )
 from permci.validation import chisq_gof
+
+from _oracles import sample_split
 
 
 def test_config_validation():
@@ -179,3 +180,15 @@ def test_mc_interval_sandwiched_between_exact_levels():
     mc = mc_interval_balanced(cfg, obs, threads=2).interval
     assert mc.contains_interval(inner)
     assert outer.contains_interval(mc)
+
+
+def test_mc_interval_thread_invariant_at_zero_effect_neighbor_sites():
+    # The search evaluates tau0 = 0, whose scan tests v10 = 1 neighbors of
+    # tables without contrast subjects; blocks of sites on a pool must count
+    # and decide them as the sequential scan does.
+    obs = ObservedCounts(2, 8, 8, 2)
+    cfg = McConfig(alpha=0.04, eps=0.01, k=2000, seed=2718)
+    runs = [mc_interval_balanced(cfg, obs, threads=t) for t in (1, 2, 3)]
+    assert runs[0].interval == runs[1].interval == runs[2].interval
+    assert [r.tests for r in runs] == [20, 20, 20]
+    assert [r.samples_drawn for r in runs] == [40000, 40000, 40000]

@@ -10,19 +10,17 @@ from permci.baseline import enumerated_interval
 from permci.exactdist import exact_pmf
 from permci.feasibility import family_vector, feasible_v10_range, is_possible
 from permci.montecarlo import McConfig, substream
-from permci.unbalanced import (
+from permci.unbalanced import SummaryBatch, required_k_unbalanced, unbalanced_interval
+from permci.validation import chisq_gof
+
+from _oracles import (
     AssignmentSummary,
     LineSegment,
-    SummaryBatch,
-    required_k_unbalanced,
+    all_observed,
     scan_line,
     stat_from_summary,
     step_summary,
-    unbalanced_interval,
 )
-from permci.validation import chisq_gof
-
-from _oracles import all_observed
 
 
 def test_step_summary_degenerate_control_only():
