@@ -74,24 +74,33 @@ def _seed(text: str) -> int:
     return value
 
 
-def _k(text: str) -> int | str:
-    if text == "auto":
-        return text
+def _positive(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"k must be a positive integer or 'auto', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("PERMCI_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _k(text: str) -> int | str:
+    return text if text == "auto" else _positive(text)
+
+
+def _n_list(text: str) -> list[int]:
+    return [_positive(x) for x in text.split(",")]
+
+
+def _mc_level(alpha: float, eps: float) -> float:
+    """``alpha - eps``, the level Monte Carlo tests run at; McConfig needs eps below it."""
+    level = alpha - eps
+    if not eps < level:
+        raise ValidationError(
+            f"eps must be smaller than alpha - eps, the level the tests use "
+            f"(--eps {eps}, --alpha {alpha}, alpha - eps = {level:.10g})"
+        )
+    return level
 
 
 def _interval_fields(iv: Interval, n: int) -> dict:
@@ -152,15 +161,7 @@ def _cmd_interval(args: argparse.Namespace) -> int:
     cfg = None
     threads = 1
     if args.method == "mc":
-        # The tests run at alpha - eps, and McConfig needs eps below that level.
-        level = args.alpha - args.eps
-        if not args.eps < level:
-            print(
-                f"usage error: eps must be smaller than alpha - eps, the level the tests use "
-                f"(--eps {args.eps}, --alpha {args.alpha}, alpha - eps = {level:.10g})",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
+        level = _mc_level(args.alpha, args.eps)
         recommended = required_k(args.eps, obs)
         k = recommended if args.k == "auto" else args.k
         cfg = McConfig(alpha=level, eps=args.eps, k=k, seed=args.seed)
@@ -310,9 +311,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
         return 0 if all(r["match"] for r in rows) else ANALYSIS_ERROR
     if args.growth:
-        n_list = [int(x) for x in args.n_list.split(",")] if args.n_list else None
+        _mc_level(args.alpha, args.eps)
         report = validation.mc_growth(
-            n_list=n_list, eps=args.eps, seed=args.seed, threads=args.threads
+            n_list=args.n_list, eps=args.eps, alpha=args.alpha, seed=args.seed, threads=args.threads
         )
         for row in report.rows:
             print(
@@ -326,26 +327,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     if args.lengths:
         rows = validation.length_bound_sweep(args.alpha, [20, 50, 100, 200])
-        ok = True
-        for row in rows:
-            ok &= row.ok
-            print(
-                f"n={row.n} samples={row.samples} max_length={row.max_length:.4f} "
-                f"bound={row.bound:.4f} {'OK' if row.ok else 'VIOLATION'}"
-            )
-        return 0 if ok else ANALYSIS_ERROR
-    if args.counts_budget:
-        rows = validation.count_bound_sweep()
-        ok = True
-        for row in rows:
-            ok &= row.ok
-            print(
-                f"n={row.n} samples={row.samples} max_tests={row.max_tests} "
-                f"budget={row.bound:.0f} {'OK' if row.ok else 'VIOLATION'}"
-            )
-        return 0 if ok else ANALYSIS_ERROR
-    print("usage error: choose one of --table1 / --growth / --lengths / --counts-budget", file=sys.stderr)
-    return USAGE_ERROR
+        lines = [f"max_length={r.max_length:.4f} bound={r.bound:.4f}" for r in rows]
+    elif args.counts_budget:
+        rows = validation.count_bound_sweep(alpha=args.alpha)
+        lines = [f"max_tests={r.max_tests} budget={r.bound:.0f}" for r in rows]
+    else:
+        print("usage error: choose one of --table1 / --growth / --lengths / --counts-budget", file=sys.stderr)
+        return USAGE_ERROR
+    for row, line in zip(rows, lines):
+        print(f"n={row.n} samples={row.samples} {line} {'OK' if row.ok else 'VIOLATION'}")
+    return 0 if all(row.ok for row in rows) else ANALYSIS_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,6 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact confidence intervals for binary-outcome randomized experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse passes a string default through `type`, so a bad PERMCI_THREADS
+    # is a usage error like a bad --threads.
+    threads = os.environ.get("PERMCI_THREADS", "1")
 
     def common(p: argparse.ArgumentParser, counts: bool = True) -> None:
         if counts:
@@ -370,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--eps", type=_level, required=True)
     p_mc.add_argument("--k", type=_k, default="auto", help="samples per test, or 'auto'")
     p_mc.add_argument("--seed", type=_seed, required=True)
-    p_mc.add_argument("--threads", type=int, default=_default_threads())
+    p_mc.add_argument("--threads", type=_positive, default=threads)
     p_mc.set_defaults(func=_cmd_interval, method="mc")
 
     p_enum = sub.add_parser(
@@ -391,15 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=_cmd_validate)
 
     p_bench = sub.add_parser("bench", help="reference rows and cost measurements")
-    p_bench.add_argument("--table1", action="store_true")
-    p_bench.add_argument("--growth", action="store_true")
-    p_bench.add_argument("--lengths", action="store_true")
-    p_bench.add_argument("--counts-budget", action="store_true")
+    modes = p_bench.add_mutually_exclusive_group()
+    modes.add_argument("--table1", action="store_true")
+    modes.add_argument("--growth", action="store_true")
+    modes.add_argument("--lengths", action="store_true")
+    modes.add_argument("--counts-budget", action="store_true")
     p_bench.add_argument("--alpha", type=_level, default=0.05)
     p_bench.add_argument("--eps", type=_level, default=0.01)
     p_bench.add_argument("--seed", type=_seed, default=20240501)
-    p_bench.add_argument("--threads", type=int, default=_default_threads())
-    p_bench.add_argument("--n-list", default=None, help="comma-separated n values for --growth")
+    p_bench.add_argument("--threads", type=_positive, default=threads)
+    p_bench.add_argument(
+        "--n-list", type=_n_list, default=None, help="comma-separated even n values for --growth"
+    )
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -13,12 +13,12 @@ Conventions used throughout the package:
   treatment effect of a table is ``tau = (v10 - v01) / n``.
 
 - The difference-in-means estimator ``T = n11/m - n01/(n-m)`` is kept as an
-  exact integer numerator over the denominator ``m * (n - m)``.  All
-  comparisons of the form ``|T - tau|  vs  |T_obs - tau|`` are performed by
-  cross-multiplication over the common denominator ``n * m * (n - m)``; no
-  floating point enters any accept/reject decision in exact mode.  Boundary
-  ties matter (the acceptance rule is ``p >= alpha``), which is why this is
-  not negotiable.
+  exact integer numerator over the denominator ``m * (n - m)`` (`diff_num`).
+  Whether a re-randomized statistic is at least as extreme as the observed
+  one is decided by one integer cut on that numerator,
+  `permci.exactdist.extreme_cut`; no floating point enters any extremeness
+  indicator.  Boundary ties matter (the acceptance rule is
+  ``p >= alpha``), which is why this is not negotiable.
 
 Every type here is an immutable value; everything is safe to share across
 threads.
@@ -275,13 +275,19 @@ def tau(v: CountVector) -> ScaledEffect:
     return ScaledEffect(v.v10 - v.v01, v.n)
 
 
+def diff_num(s1, s0, m: int, controls: int):
+    """Numerator over ``m * controls`` of the difference in means
+    ``s1/m - s0/controls``; integers or integer arrays."""
+    return s1 * controls - s0 * m
+
+
 def neyman(obs: ObservedCounts, d: Design | None = None) -> ExactStat:
     """Difference in observed group means, ``n11/m - n01/(n-m)``, exactly."""
     if d is None:
         d = obs.design
     else:
         obs.check_consistent(d)
-    return ExactStat(obs.n11 * d.controls - obs.n01 * d.m, d.m, d.controls)
+    return ExactStat(diff_num(obs.n11, obs.n01, d.m, d.controls), d.m, d.controls)
 
 
 def c_set(obs: ObservedCounts) -> EffectRange:

@@ -14,16 +14,16 @@ so the classes (1,0) and (0,1) can be pooled (Vandermonde), cutting the
 enumeration to a 2-D grid.  Both reductions are covered by brute-force
 equivalence tests against direct assignment enumeration.
 
-Two arithmetic modes:
+Two arithmetic modes, both deciding extremeness by the integer `extreme_cut`:
 
 - ``rational``: integer split weights over the common denominator C(n,m);
   every probability is exact.  Comfortable up to n around 64; this is the
   oracle mode used by all correctness sweeps.
 - ``float``: log-space binomial weights, exponentiated and summed in float64.
-  The extremeness *indicator* of each grid point is still decided in integer
-  arithmetic; only probabilities are approximate, with a documented 1e-12
-  tolerance.  Acceptance decisions in this mode treat p-values within the
-  tolerance of the level as accepted, the direction that preserves coverage.
+  The extremeness *indicator* of each grid point is still exact; only
+  probabilities are approximate, with a documented 1e-12 tolerance.
+  Acceptance decisions in this mode treat p-values within the tolerance of
+  the level as accepted, the direction that preserves coverage.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .core import (
     ScaledEffect,
     ValidationError,
     alpha_fraction,
+    diff_num,
 )
 
 #: Float-mode probabilities are accurate to this absolute tolerance, and
@@ -65,9 +66,6 @@ class StatPmf:
     design: Design
     mode: str
 
-    def support(self) -> tuple[ExactStat, ...]:
-        return tuple(v for v, _ in self.entries)
-
     def total(self) -> Fraction | float:
         return sum(p for _, p in self.entries)
 
@@ -83,11 +81,35 @@ def _check_v_d(v: CountVector, d: Design) -> None:
         raise ValidationError(f"count vector sums to {v.n}, design has n={d.n}")
 
 
+def split_num(v: CountVector, d: Design, x11, x10, x01):
+    """Statistic numerator over ``m*(n-m)`` of the treatment split
+    ``(x11, x10, x01, .)`` of ``v``; integers or integer arrays."""
+    return diff_num(x11 + x10, (v.v11 - x11) + (v.v01 - x01), d.m, d.controls)
+
+
+def extreme_cut(v: CountVector, obs: ObservedCounts) -> tuple[int, int]:
+    """The extremeness rule of the two-sided test for table ``v``, as an
+    integer cut ``(lo, hi)`` on split numerators.
+
+    A split is at least as extreme as the observation when
+    ``|T - tau(v)| >= |T_obs - tau(v)|``, i.e. ``gap <= |num*n - s*D|`` with
+    ``D = m*(n-m)``, ``s = v10 - v01`` and ``gap = |num_obs*n - s*D|``:
+    exactly when ``num <= lo = floor((s*D - gap)/n)`` or
+    ``num >= hi = ceil((s*D + gap)/n)``.  With ``gap = 0`` every split is extreme.
+    """
+    n, m = obs.n, obs.m
+    u = n - m
+    center = (v.v10 - v.v01) * m * u
+    gap = abs(diff_num(obs.n11, obs.n01, m, u) * n - center)
+    return (center - gap) // n, -((-center - gap) // n)
+
+
 def split_weights(v: CountVector, d: Design) -> dict[int, int]:
     """Integer weight of each statistic value, keyed by its numerator.
 
     The weight of numerator ``num`` is the number of assignments whose split
-    produces statistic ``num / (m*(n-m))``; weights sum to C(n,m).
+    produces statistic ``num / (m*(n-m))``; weights sum to C(n,m).  The loop
+    hoists each term of `split_num` to the loop level that fixes it.
     """
     _check_v_d(v, d)
     m, u = d.m, d.controls
@@ -140,9 +162,12 @@ def exact_pmf(v: CountVector, d: Design, mode: str = "rational") -> StatPmf:
         )
         return StatPmf(entries, d, mode)
     if mode == "float":
-        nums, probs = _float_support(v, d)
+        nums, logw = _float_grid(v, d)
+        order = np.argsort(nums, kind="stable")
+        uniq, start = np.unique(nums[order], return_index=True)
+        probs = np.add.reduceat(np.exp(logw[order]), start)
         entries = tuple(
-            (ExactStat(int(num), d.m, d.controls), float(p)) for num, p in zip(nums, probs)
+            (ExactStat(int(num), d.m, d.controls), float(p)) for num, p in zip(uniq, probs)
         )
         return StatPmf(entries, d, mode)
     raise ValidationError(f"unknown mode {mode!r}")
@@ -154,23 +179,13 @@ def _log_binom_table(n: int) -> np.ndarray:
     return logfact
 
 
-def _float_support(v: CountVector, d: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Support numerators and float probabilities, aggregated over the grid."""
-    nums, logw = _float_grid(v, d)
-    order = np.argsort(nums, kind="stable")
-    nums, logw = nums[order], logw[order]
-    uniq, start = np.unique(nums, return_index=True)
-    probs = np.add.reduceat(np.exp(logw), start)
-    return uniq, probs
-
-
 def _float_grid(v: CountVector, d: Design) -> tuple[np.ndarray, np.ndarray]:
     """Flat arrays of statistic numerators and log-probabilities per grid cell."""
     if d.n > FLOAT_MODE_MAX_N:
         raise CapacityError(
             f"float-mode enumeration is limited to n <= {FLOAT_MODE_MAX_N}, got n={d.n}"
         )
-    m, u = d.m, d.controls
+    m = d.m
     logfact = _log_binom_table(d.n)
 
     def logC(nn: np.ndarray | int, kk: np.ndarray) -> np.ndarray:
@@ -207,18 +222,9 @@ def _float_grid(v: CountVector, d: Design) -> tuple[np.ndarray, np.ndarray]:
             + logC(v00, rr)
             - log_total
         )
-        num = (x11 + a10) * u + (x11 + a01) * m - (v11 + v01) * m
-        nums_parts.append(num.astype(np.int64))
+        nums_parts.append(split_num(v, d, x11, a10, a01).astype(np.int64))
         logw_parts.append(logp)
     return np.concatenate(nums_parts), np.concatenate(logw_parts)
-
-
-def observed_gap(v: CountVector, obs: ObservedCounts) -> int:
-    """``|T_obs - tau(v)|`` as an integer over the denominator n*m*(n-m)."""
-    d = obs.design
-    num_obs = obs.n11 * d.controls - obs.n01 * d.m
-    s = v.v10 - v.v01
-    return abs(num_obs * obs.n - s * d.m * d.controls)
 
 
 def exact_pvalue(
@@ -227,24 +233,20 @@ def exact_pvalue(
     """Two-sided permutation p-value of ``v`` against the observed counts.
 
     ``P(|T - tau(v)| >= |T_obs - tau(v)|)`` under re-randomization of ``v``,
-    with the comparison done by cross-multiplication so that lattice ties are
-    scored exactly in both modes.
+    with extremeness decided by the integer `extreme_cut`, so that lattice
+    ties are scored exactly in both modes.
     """
     if v.n != obs.n:
         raise ValidationError("table and observed counts describe different n")
     d = obs.design
-    gap = observed_gap(v, obs)
-    s = v.v10 - v.v01
-    D = d.m * d.controls
+    lo, hi = extreme_cut(v, obs)
     if mode == "rational":
         weights = split_weights(v, d)
-        hit = sum(w for num, w in weights.items() if abs(num * obs.n - s * D) >= gap)
+        hit = sum(w for num, w in weights.items() if num <= lo or num >= hi)
         return Fraction(hit, math.comb(d.n, d.m))
     if mode == "float":
         nums, logw = _float_grid(v, d)
-        mask = np.abs(nums * obs.n - s * D) >= gap
-        if not mask.any():
-            return 0.0
+        mask = (nums <= lo) | (nums >= hi)
         return float(np.sum(np.exp(logw[mask])))
     raise ValidationError(f"unknown mode {mode!r}")
 

@@ -2,9 +2,9 @@
 
 A Monte Carlo test draws ``K`` random assignments of the hypothesized table,
 computes the fraction ``S`` whose statistic is at least as extreme as the
-observed one (the extremeness comparison itself stays in exact integer
-arithmetic), and accepts when ``S + eps >= alpha``.  By Hoeffding's
-inequality ``S`` misses the exact p-value by more than ``eps`` with
+observed one (each indicator is the exact integer cut
+`permci.exactdist.extreme_cut`), and accepts when ``S + eps >= alpha``.  By
+Hoeffding's inequality ``S`` misses the exact p-value by more than ``eps`` with
 probability at most ``2 exp(-K eps^2)``, which is what the sample-size rules
 below union-bound over the tests an interval search performs.
 
@@ -42,7 +42,7 @@ from .core import (
     alpha_fraction,
 )
 from .balanced import fast_interval_balanced
-from .exactdist import observed_gap
+from .exactdist import extreme_cut, split_num
 
 
 @dataclass(frozen=True)
@@ -120,24 +120,18 @@ def extreme_counts(
 ) -> int:
     """How many sampled splits are at least as extreme as the observation.
 
-    All comparisons over the common denominator ``n * m * (n-m)``; the only
-    approximation in a Monte Carlo test is which splits were drawn.
+    Each indicator is the integer `extreme_cut`; the only approximation in a
+    Monte Carlo test is which splits were drawn.
     """
-    d = obs.design
-    x11, x10, x01, _ = splits
-    s1 = x11 + x10
-    s0 = (v.v11 - x11) + (v.v01 - x01)
-    num = s1 * d.controls - s0 * d.m
-    s = v.v10 - v.v01
-    gap = observed_gap(v, obs)
-    return int(np.count_nonzero(np.abs(num * obs.n - s * d.m * d.controls) >= gap))
+    lo, hi = extreme_cut(v, obs)
+    num = split_num(v, obs.design, *splits[:3])
+    return int(np.count_nonzero((num <= lo) | (num >= hi)))
 
 
 @dataclass(frozen=True)
 class McDecision:
     accept: bool
     hits: int
-    k: int
 
 
 def mc_test(
@@ -146,7 +140,7 @@ def mc_test(
     """Fixed-K approximate permutation test of one table."""
     splits = sample_splits(v, obs.design, rng, cfg.k)
     hits = extreme_counts(v, obs, splits)
-    return McDecision(hits >= cfg.accept_count, hits, cfg.k)
+    return McDecision(hits >= cfg.accept_count, hits)
 
 
 def required_k_balanced(eps: float, n: int) -> int:

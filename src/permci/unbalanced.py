@@ -19,7 +19,8 @@ A sampled assignment is summarized by the eight per-class, per-group counts
 (1,1) to (1,0) — each keeping its group with probability proportional to the
 group's share of its class — turns a uniform assignment of ``v_k`` into a
 uniform assignment of ``v_{k+1}``.  Stepping all K summaries costs O(K), so
-a whole line costs as much as one extra test.
+a whole line costs as much as one extra test.  Each point counts its
+extreme samples against its own table's `permci.exactdist.extreme_cut`.
 
 An exact mode evaluates every line point with the exact p-value instead.
 It is not faster than the enumeration baseline in spirit, but it makes the
@@ -44,7 +45,7 @@ from .core import (
     alpha_fraction,
     c_set,
 )
-from .exactdist import ExactTester, observed_gap
+from .exactdist import ExactTester, extreme_cut, split_num
 from .feasibility import family_vector, feasible_v10_range, is_possible
 from .montecarlo import McConfig, sample_splits, substream
 
@@ -53,34 +54,25 @@ class SummaryBatch:
     """K assignment summaries of one table, stored column-wise for stepping.
 
     The instance mutates in place as it walks a line; the statistic of every
-    summary is recomputed in O(K) integer vector arithmetic per point.
+    summary is recomputed in O(K) integer vector arithmetic per point.  Only
+    the treated counts ``t`` are held; the control counts are ``v - t``.
     """
 
     def __init__(self, v: CountVector, d: Design, rng: np.random.Generator, k: int):
-        x11, x10, x01, x00 = sample_splits(v, d, rng, k)
         self.v = v
         self.d = d
         self.k = k
-        self.t11, self.t10, self.t01, self.t00 = x11, x10, x01, x00
-        self.c11 = v.v11 - x11
-        self.c10 = v.v10 - x10
-        self.c01 = v.v01 - x01
-        self.c00 = v.v00 - x00
+        self.t11, self.t10, self.t01, self.t00 = sample_splits(v, d, rng, k)
 
     def step(self, rng: np.random.Generator) -> None:
         v = self.v
         if v.v00 < 1 or v.v11 < 1:
             raise ContractError("stepping requires at least one (0,0) and one (1,1) subject")
-        move = rng.random(self.k) * v.v00 < self.c00
-        self.c00 = self.c00 - move
-        self.c01 = self.c01 + move
-        keep = ~move
+        # The moved subject is treated with probability t/v for its class.
+        keep = rng.random(self.k) * v.v00 >= v.v00 - self.t00
         self.t00 = self.t00 - keep
         self.t01 = self.t01 + keep
-        move = rng.random(self.k) * v.v11 < self.c11
-        self.c11 = self.c11 - move
-        self.c10 = self.c10 + move
-        keep = ~move
+        keep = rng.random(self.k) * v.v11 >= v.v11 - self.t11
         self.t11 = self.t11 - keep
         self.t10 = self.t10 + keep
         self.v = CountVector(v.v11 - 1, v.v10 + 1, v.v01 + 1, v.v00 - 1)
@@ -88,11 +80,9 @@ class SummaryBatch:
     def extreme_hits(self, obs: ObservedCounts) -> int:
         """Samples whose statistic is at least as extreme as the observation,
         relative to the current table's effect."""
-        d = self.d
-        num = (self.t11 + self.t10) * d.controls - (self.c11 + self.c01) * d.m
-        s = self.v.v10 - self.v.v01
-        gap = observed_gap(self.v, obs)
-        return int(np.count_nonzero(np.abs(num * obs.n - s * d.m * d.controls) >= gap))
+        lo, hi = extreme_cut(self.v, obs)
+        num = split_num(self.v, self.d, self.t11, self.t10, self.t01)
+        return int(np.count_nonzero((num <= lo) | (num >= hi)))
 
 
 def _walk_line(

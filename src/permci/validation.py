@@ -377,6 +377,8 @@ def mc_growth(
     """
     if n_list is None:
         n_list = [100, 1000, 10000]
+    if any(n < 2 or n % 2 for n in n_list):
+        raise ValidationError(f"growth uses balanced designs: need even n >= 2, got {n_list}")
     rows = []
     for n in n_list:
         k = required_k_balanced(eps, n)

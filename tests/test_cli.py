@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -222,3 +223,55 @@ def test_mc_unequal_groups_counts_line_points(capsys):
     direct = unbalanced_interval(ObservedCounts(3, 2, 6, 9), mode="mc", cfg=cfg)
     assert direct.line_points > 0
     assert report["tests"] == direct.base_tests + direct.line_points
+
+
+def test_bench_takes_one_mode(capsys):
+    assert_usage_exit(["bench", "--table1", "--growth"], capsys)
+    assert_usage_exit(["bench", "--lengths", "--counts-budget", "--table1"], capsys)
+
+
+def test_bench_honours_alpha(capsys, monkeypatch):
+    alphas = []
+
+    def recorder(result):
+        def run(**kwargs):
+            alphas.append(kwargs["alpha"])
+            return result
+        return run
+
+    report = SimpleNamespace(rows=[], measured_slope=1.0, predicted_slope=1.0, slope_ratio_error=0.0)
+    monkeypatch.setattr("permci.validation.count_bound_sweep", recorder([]))
+    monkeypatch.setattr("permci.validation.mc_growth", recorder(report))
+    assert main(["bench", "--counts-budget", "--alpha", "0.1"]) == 0
+    assert main(["bench", "--growth", "--alpha", "0.1"]) == 0
+    capsys.readouterr()
+    assert alphas == [0.1, 0.1]
+
+
+def test_bench_growth_eps_must_be_below_the_effective_level(capsys):
+    code, _, err = run_cli(capsys, "bench", "--growth", "--eps", "0.03")
+    assert code == 2
+    assert "--alpha 0.05" in err and "alpha - eps = 0.02)" in err
+
+
+def test_bench_and_mc_option_types(capsys):
+    assert_usage_exit(["bench", "--growth", "--n-list", "a"], capsys)
+    assert_usage_exit(["bench", "--growth", "--n-list", "20,x"], capsys)
+    assert_usage_exit(["bench", "--growth", "--threads", "0"], capsys)
+    base = ["mc", "--counts", "6,4,4,6", "--eps", "0.02", "--seed", "7"]
+    assert_usage_exit(base + ["--threads", "0"], capsys)
+    assert_usage_exit(base + ["--threads", "-3"], capsys)
+    assert_usage_exit(base + ["--threads", "two"], capsys)
+    # odd n would silently measure n - 1
+    assert main(["bench", "--growth", "--n-list", "21,41"]) == 2
+    capsys.readouterr()
+
+
+def test_bad_thread_count_from_environment_usage_error(capsys, monkeypatch):
+    base = ["mc", "--counts", "6,4,4,6", "--eps", "0.02", "--k", "200", "--seed", "7"]
+    for value in ("0", "-4", "abc"):
+        monkeypatch.setenv("PERMCI_THREADS", value)
+        assert_usage_exit(base, capsys)
+    monkeypatch.setenv("PERMCI_THREADS", "2")
+    assert main(base) == 0
+    capsys.readouterr()

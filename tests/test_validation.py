@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from permci.core import CapacityError, CountVector, Design
+from permci.core import CapacityError, CountVector, Design, ValidationError
 from permci.validation import (
     chi2_sf,
     chisq_gof,
@@ -12,6 +12,7 @@ from permci.validation import (
     coverage_exhaustive,
     iter_splits,
     length_bound_sweep,
+    mc_growth,
     observed_from_split,
     table1_repro,
 )
@@ -95,3 +96,12 @@ def test_length_sweep_small():
 def test_count_sweep_small():
     rows = count_bound_sweep([16, 24], per_n=4)
     assert all(r.ok for r in rows)
+
+
+def test_mc_growth_rejects_odd_n_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("measured before rejecting odd n")
+
+    monkeypatch.setattr("permci.validation.mc_interval_balanced", no_work)
+    with pytest.raises(ValidationError):
+        mc_growth(n_list=[20, 21], eps=0.02)
