@@ -17,7 +17,7 @@ from .core import (
     neyman,
     tau,
 )
-from .exactdist import ExactTester, StatPmf, exact_pmf, exact_pvalue
+from .exactdist import ExactTester, exact_pvalue
 from .feasibility import feasible_v10_range, is_possible
 from .baseline import enumerated_interval
 from .balanced import binary_search, fast_interval_balanced, is_compatible_balanced
@@ -51,13 +51,11 @@ __all__ = [
     "ObservedCounts",
     "PermCIError",
     "ScaledEffect",
-    "StatPmf",
     "SubjectRecord",
     "ValidationError",
     "binary_search",
     "c_set",
     "enumerated_interval",
-    "exact_pmf",
     "exact_pvalue",
     "fast_interval_balanced",
     "feasible_v10_range",

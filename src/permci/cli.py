@@ -8,7 +8,6 @@ Subcommands:
 - ``enum``     the exhaustive enumeration construction (alias: ``rh``).
 - ``missing``  bracketing interval from a subject-level file with missing
                outcomes.
-- ``validate`` built-in self-checks.
 - ``bench``    reference-row reproduction and cost/growth measurements.
 
 Exit codes: 0 analysis completed, 1 analysis error or failed check,
@@ -205,7 +204,10 @@ def read_subject_file(path: str) -> MaskedObservations:
                 y = int(parts[1])
             except ValueError:
                 raise ValidationError(f"line {idx}: bad outcome {parts[1]!r}") from None
-        records.append(SubjectRecord(z, y))
+        try:
+            records.append(SubjectRecord(z, y))
+        except ValidationError as exc:
+            raise ValidationError(f"line {idx}: {exc}") from None
     return MaskedObservations(tuple(records))
 
 
@@ -230,72 +232,6 @@ def _cmd_missing(args: argparse.Namespace) -> int:
     }
     _emit(report, args.format, wall)
     return 0
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    checks = _run_suite(args.suite)
-    failures = 0
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else ANALYSIS_ERROR
-
-
-def _run_suite(suite: str) -> list[tuple[str, bool, str]]:
-    from .core import CountVector, Design, tau
-    from .exactdist import exact_pmf, pmf_is_symmetric
-    from .feasibility import is_possible, is_possible_bruteforce
-
-    out: list[tuple[str, bool, str]] = []
-    if suite in ("smoke", "all"):
-        rows = validation.table1_repro()
-        ok = all(r["match"] for r in rows)
-        out.append(("reference-rows", ok, f"{len(rows)} observations, 3 constructions"))
-        agree = 0
-        total = 0
-        for n in (4, 6, 8):
-            m = n // 2
-            for n11 in range(m + 1):
-                for n01 in range(m + 1):
-                    obs = ObservedCounts(n11, m - n11, n01, m - n01)
-                    total += 1
-                    if interval(obs, 0.05).interval == interval(obs, 0.05, "enum").interval:
-                        agree += 1
-        out.append(("balanced-vs-enumeration", agree == total, f"{agree}/{total} observations"))
-    if suite in ("distribution", "all"):
-        bad = 0
-        total = 0
-        for n in (4, 6, 8, 10):
-            d = Design(n, n // 2)
-            for v11 in range(n + 1):
-                for v10 in range(n - v11 + 1):
-                    for v01 in range(n - v11 - v10 + 1):
-                        v = CountVector(v11, v10, v01, n - v11 - v10 - v01)
-                        pmf = exact_pmf(v, d)
-                        total += 1
-                        if pmf.total() != 1 or not pmf_is_symmetric(pmf, tau(v)):
-                            bad += 1
-        out.append(("pmf-normalized-symmetric", bad == 0, f"{total} tables, {bad} violations"))
-    if suite in ("feasibility", "all"):
-        bad = 0
-        total = 0
-        for n in range(2, 8):
-            for m in range(1, n):
-                for n11 in range(m + 1):
-                    for n01 in range(n - m + 1):
-                        obs = ObservedCounts(n11, m - n11, n01, n - m - n01)
-                        for v11 in range(n + 1):
-                            for v10 in range(n - v11 + 1):
-                                for v01 in range(n - v11 - v10 + 1):
-                                    v = CountVector(v11, v10, v01, n - v11 - v10 - v01)
-                                    total += 1
-                                    if is_possible(v, obs) != is_possible_bruteforce(v, obs):
-                                        bad += 1
-        out.append(("possibility-closed-form", bad == 0, f"{total} pairs, {bad} disagreements"))
-    if not out:
-        raise ValidationError(f"unknown suite {suite!r}")
-    return out
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -379,10 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_missing.add_argument("--pad-odd", action="store_true", help="balance an odd experiment first")
     p_missing.add_argument("--format", choices=("text", "json"), default="text")
     p_missing.set_defaults(func=_cmd_missing)
-
-    p_val = sub.add_parser("validate", help="built-in self checks")
-    p_val.add_argument("--suite", choices=("smoke", "distribution", "feasibility", "all"), default="smoke")
-    p_val.set_defaults(func=_cmd_validate)
 
     p_bench = sub.add_parser("bench", help="reference rows and cost measurements")
     modes = p_bench.add_mutually_exclusive_group()

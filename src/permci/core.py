@@ -106,13 +106,6 @@ class ObservedCounts:
     def design(self) -> Design:
         return Design(self.n, self.m)
 
-    def check_consistent(self, d: Design) -> None:
-        if self.n != d.n or self.m != d.m:
-            raise ValidationError(
-                f"counts {self.astuple()} imply (n={self.n}, m={self.m}), "
-                f"inconsistent with design (n={d.n}, m={d.m})"
-            )
-
     def astuple(self) -> tuple[int, int, int, int]:
         return (self.n11, self.n10, self.n01, self.n00)
 
@@ -281,12 +274,9 @@ def diff_num(s1, s0, m: int, controls: int):
     return s1 * controls - s0 * m
 
 
-def neyman(obs: ObservedCounts, d: Design | None = None) -> ExactStat:
+def neyman(obs: ObservedCounts) -> ExactStat:
     """Difference in observed group means, ``n11/m - n01/(n-m)``, exactly."""
-    if d is None:
-        d = obs.design
-    else:
-        obs.check_consistent(d)
+    d = obs.design
     return ExactStat(diff_num(obs.n11, obs.n01, d.m, d.controls), d.m, d.controls)
 
 

@@ -29,7 +29,6 @@ Two arithmetic modes, both deciding extremeness by the integer `extreme_cut`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,9 +37,7 @@ from .core import (
     CapacityError,
     CountVector,
     Design,
-    ExactStat,
     ObservedCounts,
-    ScaledEffect,
     ValidationError,
     alpha_fraction,
     diff_num,
@@ -52,28 +49,6 @@ FLOAT_P_TOL = 1e-12
 
 #: Beyond this the float-mode grid enumeration is not sensible to attempt.
 FLOAT_MODE_MAX_N = 5000
-
-
-@dataclass(frozen=True)
-class StatPmf:
-    """Distribution of the statistic, as (value, probability) pairs.
-
-    Entries are sorted by statistic value.  Probabilities are Fractions in
-    rational mode and floats in float mode.
-    """
-
-    entries: tuple[tuple[ExactStat, Fraction | float], ...]
-    design: Design
-    mode: str
-
-    def total(self) -> Fraction | float:
-        return sum(p for _, p in self.entries)
-
-    def mean(self) -> Fraction:
-        """Exact mean; rational mode only."""
-        if self.mode != "rational":
-            raise ValidationError("exact mean requires rational mode")
-        return sum((v.fraction * p for v, p in self.entries), Fraction(0))
 
 
 def _check_v_d(v: CountVector, d: Design) -> None:
@@ -148,29 +123,6 @@ def _diff_weights_balanced(v: CountVector, m: int) -> dict[int, int]:
             t = 2 * x11 + w - shift
             weights[t] = weights.get(t, 0) + wt
     return weights
-
-
-def exact_pmf(v: CountVector, d: Design, mode: str = "rational") -> StatPmf:
-    """Distribution of the statistic over uniform re-randomization of ``v``."""
-    _check_v_d(v, d)
-    if mode == "rational":
-        total = math.comb(d.n, d.m)
-        weights = split_weights(v, d)
-        entries = tuple(
-            (ExactStat(num, d.m, d.controls), Fraction(weights[num], total))
-            for num in sorted(weights)
-        )
-        return StatPmf(entries, d, mode)
-    if mode == "float":
-        nums, logw = _float_grid(v, d)
-        order = np.argsort(nums, kind="stable")
-        uniq, start = np.unique(nums[order], return_index=True)
-        probs = np.add.reduceat(np.exp(logw[order]), start)
-        entries = tuple(
-            (ExactStat(int(num), d.m, d.controls), float(p)) for num, p in zip(uniq, probs)
-        )
-        return StatPmf(entries, d, mode)
-    raise ValidationError(f"unknown mode {mode!r}")
 
 
 def _log_binom_table(n: int) -> np.ndarray:
@@ -272,20 +224,3 @@ class ExactTester:
         if self.mode == "rational":
             return p >= self.alpha
         return p >= self._alpha_float - FLOAT_P_TOL
-
-
-def pmf_is_symmetric(pmf: StatPmf, center: ScaledEffect) -> bool:
-    """Exact mirror symmetry of a rational-mode pmf about ``center``.
-
-    ``2 * center`` in statistic-numerator units is an integer for every table
-    mean, so the mirror of each support point is itself a lattice point.
-    """
-    if pmf.mode != "rational":
-        raise ValidationError("symmetry check requires rational mode")
-    D = pmf.design.m * pmf.design.controls
-    twice_center = 2 * center.s * D
-    if twice_center % center.n:
-        return False
-    twice_center //= center.n
-    table = {v.num: p for v, p in pmf.entries}
-    return all(table.get(twice_center - num) == p for num, p in table.items())

@@ -2,8 +2,7 @@
 
 A table is *possible* given observed counts if some assignment of its
 subjects to groups reproduces exactly what was observed.  The closed-form
-test below avoids enumerating assignments; `is_possible_bruteforce` is the
-direct witness search kept as an oracle for it.
+test below avoids enumerating assignments.
 
 The searches over a fixed effect value ``tau0 = s/n`` walk the two-parameter
 family of tables
@@ -51,28 +50,6 @@ def is_possible(v: CountVector, obs: ObservedCounts) -> bool:
     lo = max(0, n11 - v.v10, v.v11 - n01, v.v11 + v.v01 - n10 - n01)
     hi = min(v.v11, n11, v.v11 + v.v01 - n01, v.n - v.v10 - n01 - n10)
     return lo <= hi
-
-
-def is_possible_bruteforce(v: CountVector, obs: ObservedCounts) -> bool:
-    """Witness search: does some per-class split into treatment reproduce obs?
-
-    Test oracle only; exponential-free but deliberately naive.
-    """
-    if v.n != obs.n:
-        return False
-    m = obs.m
-    for x11 in range(0, min(v.v11, m) + 1):
-        for x10 in range(0, min(v.v10, m - x11) + 1):
-            for x01 in range(0, min(v.v01, m - x11 - x10) + 1):
-                x00 = m - x11 - x10 - x01
-                if x00 < 0 or x00 > v.v00:
-                    continue
-                if x11 + x10 != obs.n11:
-                    continue
-                if (v.v11 - x11) + (v.v01 - x01) != obs.n01:
-                    continue
-                return True
-    return False
 
 
 def feasible_v10_range(j: int, ntau0: int, obs: ObservedCounts) -> V10Range | None:

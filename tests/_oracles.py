@@ -1,10 +1,12 @@
-"""Brute-force reference implementations the fast code is checked against.
+"""Reference implementations and harnesses that only the tests use.
 
-Everything here enumerates assignments or tables directly and stays
-deliberately independent of the package's enumeration shortcuts.  The
+The brute-force references enumerate assignments or tables directly and
+stay deliberately independent of the package's enumeration shortcuts.  The
 per-assignment forms of the Monte Carlo and line-walk machinery (one split,
-one assignment summary, one stepped summary) live here too: only tests use
-them, against the vectorized forms in the package.
+one assignment summary, one stepped summary) live here too, checked against
+the vectorized forms in the package.  So do the statistic's full
+distribution (`exact_pmf`), the witness search for possible tables, the
+chi-squared goodness-of-fit test and the exhaustive coverage harnesses.
 """
 
 from __future__ import annotations
@@ -13,19 +15,24 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
+from permci.api import interval
 from permci.core import (
+    CapacityError,
     ContractError,
     CountVector,
     Design,
     ExactStat,
     ObservedCounts,
+    ScaledEffect,
     ValidationError,
+    tau,
 )
-from permci.exactdist import _check_v_d
+from permci.exactdist import _check_v_d, _float_grid, split_weights
+from permci.missing import MaskedCounts, missing_interval
 from permci.montecarlo import McConfig, sample_splits
 from permci.unbalanced import SummaryBatch, _walk_line
 
@@ -218,3 +225,286 @@ def scan_line(
     """
     accepted, _ = _walk_line(cfg, seg.count, obs, batch, rng)
     return accepted
+
+
+@dataclass(frozen=True)
+class StatPmf:
+    """Distribution of the statistic, as (value, probability) pairs.
+
+    Entries are sorted by statistic value.  Probabilities are Fractions in
+    rational mode and floats in float mode.
+    """
+
+    entries: tuple[tuple[ExactStat, Fraction | float], ...]
+    design: Design
+    mode: str
+
+    def total(self) -> Fraction | float:
+        return sum(p for _, p in self.entries)
+
+    def mean(self) -> Fraction:
+        """Exact mean; rational mode only."""
+        if self.mode != "rational":
+            raise ValidationError("exact mean requires rational mode")
+        return sum((v.fraction * p for v, p in self.entries), Fraction(0))
+
+
+def exact_pmf(v: CountVector, d: Design, mode: str = "rational") -> StatPmf:
+    """Distribution of the statistic over uniform re-randomization of ``v``."""
+    _check_v_d(v, d)
+    if mode == "rational":
+        total = math.comb(d.n, d.m)
+        weights = split_weights(v, d)
+        entries = tuple(
+            (ExactStat(num, d.m, d.controls), Fraction(weights[num], total))
+            for num in sorted(weights)
+        )
+        return StatPmf(entries, d, mode)
+    if mode == "float":
+        nums, logw = _float_grid(v, d)
+        order = np.argsort(nums, kind="stable")
+        uniq, start = np.unique(nums[order], return_index=True)
+        probs = np.add.reduceat(np.exp(logw[order]), start)
+        entries = tuple(
+            (ExactStat(int(num), d.m, d.controls), float(p)) for num, p in zip(uniq, probs)
+        )
+        return StatPmf(entries, d, mode)
+    raise ValidationError(f"unknown mode {mode!r}")
+
+
+def pmf_is_symmetric(pmf: StatPmf, center: ScaledEffect) -> bool:
+    """Exact mirror symmetry of a rational-mode pmf about ``center``.
+
+    ``2 * center`` in statistic-numerator units is an integer for every table
+    mean, so the mirror of each support point is itself a lattice point.
+    """
+    if pmf.mode != "rational":
+        raise ValidationError("symmetry check requires rational mode")
+    D = pmf.design.m * pmf.design.controls
+    twice_center = 2 * center.s * D
+    if twice_center % center.n:
+        return False
+    twice_center //= center.n
+    table = {v.num: p for v, p in pmf.entries}
+    return all(table.get(twice_center - num) == p for num, p in table.items())
+
+
+def is_possible_bruteforce(v: CountVector, obs: ObservedCounts) -> bool:
+    """Witness search: does some per-class split into treatment reproduce obs?
+
+    Test oracle only; exponential-free but deliberately naive.
+    """
+    if v.n != obs.n:
+        return False
+    m = obs.m
+    for x11 in range(0, min(v.v11, m) + 1):
+        for x10 in range(0, min(v.v10, m - x11) + 1):
+            for x01 in range(0, min(v.v01, m - x11 - x10) + 1):
+                x00 = m - x11 - x10 - x01
+                if x00 < 0 or x00 > v.v00:
+                    continue
+                if x11 + x10 != obs.n11:
+                    continue
+                if (v.v11 - x11) + (v.v01 - x01) != obs.n01:
+                    continue
+                return True
+    return False
+
+
+#: Split enumeration is cheap, but the interval per distinct observation is
+#: not; beyond this, use Monte Carlo replication instead of exhaustion.
+COVERAGE_MAX_N = 24
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Chi-square survival function for integer degrees of freedom.
+
+    Built from the closed forms at 1 and 2 dof and the two-step recurrence
+    ``Q(x; v+2) = Q(x; v) + (x/2)^(v/2) exp(-x/2) / Gamma(v/2 + 1)``; no
+    iterative approximation is involved.
+    """
+    if dof < 1:
+        raise ValidationError("dof must be a positive integer")
+    if x <= 0:
+        return 1.0
+    half = x / 2.0
+    if dof % 2 == 0:
+        q = term = math.exp(-half)
+        for i in range(1, dof // 2):
+            term *= half / i
+            q += term
+    else:
+        q = math.erfc(math.sqrt(half))
+        term = math.sqrt(half) * math.exp(-half) / math.gamma(1.5)
+        for k in range((dof - 1) // 2):
+            if k > 0:
+                term *= half / (k + 0.5)
+            q += term
+    return min(1.0, max(0.0, q))
+
+
+def chisq_gof(observed: list[int], probs: list[float], min_expected: float = 5.0) -> tuple[float, int, float]:
+    """Goodness-of-fit statistic, dof and p-value, pooling sparse cells."""
+    if len(observed) != len(probs):
+        raise ValidationError("observed and probs must align")
+    total = sum(observed)
+    cells = sorted(zip(observed, probs), key=lambda c: c[1])
+    pooled: list[tuple[float, float]] = []
+    acc_o, acc_e = 0.0, 0.0
+    for o, p in cells:
+        acc_o += o
+        acc_e += p * total
+        if acc_e >= min_expected:
+            pooled.append((acc_o, acc_e))
+            acc_o, acc_e = 0.0, 0.0
+    if acc_e > 0:
+        if pooled:
+            o0, e0 = pooled[0]
+            pooled[0] = (o0 + acc_o, e0 + acc_e)
+        else:
+            pooled.append((acc_o, acc_e))
+    if len(pooled) < 2:
+        raise ValidationError("too few cells with adequate expectation")
+    stat = sum((o - e) ** 2 / e for o, e in pooled)
+    dof = len(pooled) - 1
+    return stat, dof, chi2_sf(stat, dof)
+
+
+def iter_splits(y: CountVector, d: Design):
+    """All treatment splits of ``y`` with their assignment-count weights."""
+    v11, v10, v01, v00 = y.astuple()
+    m = d.m
+    comb = math.comb
+    for x11 in range(max(0, m - v10 - v01 - v00), min(v11, m) + 1):
+        w1 = comb(v11, x11)
+        r1 = m - x11
+        for x10 in range(max(0, r1 - v01 - v00), min(v10, r1) + 1):
+            w2 = w1 * comb(v10, x10)
+            r2 = r1 - x10
+            for x01 in range(max(0, r2 - v00), min(v01, r2) + 1):
+                x00 = r2 - x01
+                yield (x11, x10, x01, x00), w2 * comb(v01, x01) * comb(v00, x00)
+
+
+def observed_from_split(y: CountVector, split: tuple[int, int, int, int]) -> ObservedCounts:
+    x11, x10, x01, x00 = split
+    return ObservedCounts(
+        x11 + x10,
+        x01 + x00,
+        (y.v11 - x11) + (y.v01 - x01),
+        (y.v10 - x10) + (y.v00 - x00),
+    )
+
+
+def coverage_exhaustive(
+    y: CountVector,
+    alpha: float,
+    d: Design | None = None,
+) -> Fraction:
+    """Exact coverage probability of the interval for a known truth ``y``.
+
+    Enumerates the treatment splits of ``y`` with their hypergeometric
+    weights (identical to enumerating assignments, exponentially cheaper),
+    builds the interval of each induced observation once, and returns the
+    exact covered fraction.
+    """
+    if d is None:
+        d = Design(y.n, y.n // 2)
+    if y.n != d.n:
+        raise ValidationError("table does not match design")
+    if y.n > COVERAGE_MAX_N:
+        raise CapacityError(
+            f"exhaustive coverage is limited to n <= {COVERAGE_MAX_N}; "
+            "use Monte Carlo replication for larger designs"
+        )
+    truth = tau(y)
+    cache: dict[tuple[int, int, int, int], bool] = {}
+    covered = 0
+    total = 0
+    for split, weight in iter_splits(y, d):
+        obs = observed_from_split(y, split)
+        key = obs.astuple()
+        hit = cache.get(key)
+        if hit is None:
+            hit = interval(obs, alpha).interval.contains(truth)
+            cache[key] = hit
+        if hit:
+            covered += weight
+        total += weight
+    assert total == math.comb(d.n, d.m)
+    return Fraction(covered, total)
+
+
+MaskRule = Callable[[int, int], bool]
+
+
+def mask_treated_failures_control_successes(y_obs: int, z: int) -> bool:
+    """Outcome-dependent adversarial rule: hide bad news from each group."""
+    return (z == 1 and y_obs == 0) or (z == 0 and y_obs == 1)
+
+
+def masked_counts_from_split(
+    y: CountVector, split: tuple[int, int, int, int], rule: MaskRule
+) -> MaskedCounts:
+    """Count-level masked data when every subject is masked by rule(Y_i, Z_i)."""
+    x11, x10, x01, x00 = split
+    # A class (a, b) subject shows outcome a if treated and b under control.
+    cells = [
+        # (count, observed outcome, group)
+        (x11, 1, 1),
+        (x10, 1, 1),
+        (x01, 0, 1),
+        (x00, 0, 1),
+        (y.v11 - x11, 1, 0),
+        (y.v01 - x01, 1, 0),
+        (y.v10 - x10, 0, 0),
+        (y.v00 - x00, 0, 0),
+    ]
+    ones_t = zeros_t = miss_t = ones_c = zeros_c = miss_c = 0
+    for count, outcome, group in cells:
+        if count == 0:
+            continue
+        if rule(outcome, group):
+            if group == 1:
+                miss_t += count
+            else:
+                miss_c += count
+        elif group == 1:
+            if outcome == 1:
+                ones_t += count
+            else:
+                zeros_t += count
+        else:
+            if outcome == 1:
+                ones_c += count
+            else:
+                zeros_c += count
+    return MaskedCounts(ones_t, zeros_t, miss_t, ones_c, zeros_c, miss_c)
+
+
+def coverage_missing_exhaustive(
+    y: CountVector,
+    alpha: float,
+    d: Design | None = None,
+    rule: MaskRule = mask_treated_failures_control_successes,
+) -> Fraction:
+    """Exact coverage of the bracketing interval under a deterministic
+    per-subject masking rule applied to every assignment."""
+    if d is None:
+        d = Design(y.n, y.n // 2)
+    if y.n > COVERAGE_MAX_N:
+        raise CapacityError("exhaustive missing-data coverage limited to small n")
+    truth = tau(y)
+    cache: dict[MaskedCounts, bool] = {}
+    covered = 0
+    total = 0
+    for split, weight in iter_splits(y, d):
+        masked = masked_counts_from_split(y, split, rule)
+        hit = cache.get(masked)
+        if hit is None:
+            hit = missing_interval(alpha, masked).interval.contains(truth.fraction)
+            cache[masked] = hit
+        if hit:
+            covered += weight
+        total += weight
+    return Fraction(covered, total)

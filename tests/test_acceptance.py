@@ -23,15 +23,16 @@ from permci.montecarlo import (
     substream,
 )
 from permci.unbalanced import SummaryBatch, unbalanced_interval
-from permci.validation import (
+from permci.validation import length_bound_sweep, mc_growth
+
+from _oracles import (
+    all_count_vectors,
+    all_observed,
     chisq_gof,
     coverage_exhaustive,
     coverage_missing_exhaustive,
-    length_bound_sweep,
-    mc_growth,
+    sample_split,
 )
-
-from _oracles import all_count_vectors, all_observed, sample_split
 
 THREADS = 2
 

@@ -51,7 +51,7 @@ def test_binary_search_rejects_bad_range():
 
 def brute_compatible(ntau0, obs, alpha):
     """Independent definition: some possible table with this effect accepted."""
-    from permci.feasibility import is_possible_bruteforce
+    from _oracles import is_possible_bruteforce
 
     for v in all_count_vectors(obs.n):
         if v.v10 - v.v01 != ntau0:

@@ -171,11 +171,20 @@ def test_read_subject_file_na(tmp_path):
     assert data.records[0].y is None and data.records[1].y == 1
 
 
-def test_validate_smoke(capsys):
-    code, out, _ = run_cli(capsys, "validate", "--suite", "smoke")
-    assert code == 0
-    assert "PASS reference-rows" in out
-    assert "FAIL" not in out
+def test_subject_file_value_errors_name_the_line(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    for body, line in (("z,y\n1,1\n0,2\n", 3), ("z,y\n1,1\n2,0\n0,1\n", 3)):
+        path.write_text(body)
+        code, _, err = run_cli(capsys, "missing", "--file", str(path))
+        assert code == 2
+        assert err.startswith(f"usage error: line {line}: ")
+
+
+def test_validate_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'validate'" in capsys.readouterr().err
 
 
 def test_bench_table1(capsys):
@@ -262,8 +271,9 @@ def test_bench_and_mc_option_types(capsys):
     assert_usage_exit(base + ["--threads", "0"], capsys)
     assert_usage_exit(base + ["--threads", "-3"], capsys)
     assert_usage_exit(base + ["--threads", "two"], capsys)
-    # odd n would silently measure n - 1
-    assert main(["bench", "--growth", "--n-list", "21,41"]) == 2
+    # odd n would silently measure n - 1; one distinct n has no slope
+    for n_list in ("21,41", "20", "20,20"):
+        assert main(["bench", "--growth", "--n-list", n_list]) == 2
     capsys.readouterr()
 
 

@@ -5,15 +5,16 @@ from fractions import Fraction
 import pytest
 
 from permci.core import CapacityError, CountVector, Design, ObservedCounts, tau
-from permci.exactdist import (
-    ExactTester,
-    exact_pmf,
-    exact_pvalue,
-    pmf_is_symmetric,
-    split_weights,
-)
+from permci.exactdist import ExactTester, exact_pvalue, split_weights
 
-from _oracles import all_count_vectors, assignment_pmf, assignment_pvalue, copas_pmf_term
+from _oracles import (
+    all_count_vectors,
+    assignment_pmf,
+    assignment_pvalue,
+    copas_pmf_term,
+    exact_pmf,
+    pmf_is_symmetric,
+)
 
 
 def as_fraction_pmf(v, d):

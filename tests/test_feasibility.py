@@ -1,14 +1,9 @@
 import random
 
 from permci.core import CountVector, ObservedCounts
-from permci.feasibility import (
-    family_vector,
-    feasible_v10_range,
-    is_possible,
-    is_possible_bruteforce,
-)
+from permci.feasibility import family_vector, feasible_v10_range, is_possible
 
-from _oracles import all_count_vectors, all_observed
+from _oracles import all_count_vectors, all_observed, is_possible_bruteforce
 
 
 def test_estimate_witness_table_is_possible():

@@ -12,13 +12,13 @@ from permci.missing import (
     missing_interval,
     pad_odd,
 )
-from permci.validation import (
-    coverage_missing_exhaustive,
-    masked_counts_from_split,
-    mask_treated_failures_control_successes,
-)
 
-from _oracles import all_observed
+from _oracles import (
+    all_observed,
+    coverage_missing_exhaustive,
+    mask_treated_failures_control_successes,
+    masked_counts_from_split,
+)
 
 
 def records(*pairs):

@@ -15,9 +15,8 @@ from permci.montecarlo import (
     sample_splits,
     substream,
 )
-from permci.validation import chisq_gof
 
-from _oracles import sample_split
+from _oracles import chisq_gof, sample_split
 
 
 def test_config_validation():

@@ -7,16 +7,16 @@ import pytest
 
 from permci.core import ContractError, CountVector, Design, ObservedCounts, tau
 from permci.baseline import enumerated_interval
-from permci.exactdist import exact_pmf
 from permci.feasibility import family_vector, feasible_v10_range, is_possible
 from permci.montecarlo import McConfig, substream
 from permci.unbalanced import SummaryBatch, required_k_unbalanced, unbalanced_interval
-from permci.validation import chisq_gof
 
 from _oracles import (
     AssignmentSummary,
     LineSegment,
     all_observed,
+    chisq_gof,
+    exact_pmf,
     scan_line,
     stat_from_summary,
     step_summary,

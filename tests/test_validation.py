@@ -6,18 +6,22 @@ import pytest
 
 from permci.core import CapacityError, CountVector, Design, ValidationError
 from permci.validation import (
-    chi2_sf,
-    chisq_gof,
+    REFERENCE_ROWS,
     count_bound_sweep,
-    coverage_exhaustive,
-    iter_splits,
     length_bound_sweep,
     mc_growth,
-    observed_from_split,
     table1_repro,
 )
 
-from _oracles import assignment_pmf
+from _oracles import (
+    assignment_pmf,
+    chi2_sf,
+    chisq_gof,
+    coverage_exhaustive,
+    iter_splits,
+    observed_from_split,
+)
+from test_acceptance import REFERENCE_ROWS as ACCEPTANCE_ROWS
 
 
 def test_chi2_sf_reference_values():
@@ -105,3 +109,18 @@ def test_mc_growth_rejects_odd_n_before_any_work(monkeypatch):
     monkeypatch.setattr("permci.validation.mc_interval_balanced", no_work)
     with pytest.raises(ValidationError):
         mc_growth(n_list=[20, 21], eps=0.02)
+
+
+def test_mc_growth_needs_two_distinct_n_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("measured before rejecting the n list")
+
+    monkeypatch.setattr("permci.validation.mc_interval_balanced", no_work)
+    for n_list in ([20], [20, 20]):
+        with pytest.raises(ValidationError):
+            mc_growth(n_list=n_list, eps=0.02)
+
+
+def test_bench_reference_rows_are_the_acceptance_rows():
+    # The acceptance suite's copy is the contract; `bench --table1` checks these.
+    assert REFERENCE_ROWS == ACCEPTANCE_ROWS
