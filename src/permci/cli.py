@@ -8,11 +8,10 @@ Subcommands:
 - ``enum``     the exhaustive enumeration construction (alias: ``rh``).
 - ``missing``  bracketing interval from a subject-level file with missing
                outcomes.
-- ``bench``    reference-row reproduction and cost/growth measurements.
 
-Exit codes: 0 analysis completed, 1 analysis error or failed check,
-2 usage error.  All result fields are deterministic for a fixed seed;
-``wall_ms`` in JSON output is the only field that varies between runs.
+Exit codes: 0 analysis completed, 1 analysis error, 2 usage error.  All
+result fields are deterministic for a fixed seed; ``wall_ms`` in JSON output
+is the only field that varies between runs.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .core import (
 from .api import interval, required_k
 from .missing import MaskedObservations, SubjectRecord, missing_interval, pad_odd
 from .montecarlo import McConfig
-from . import validation
 
 USAGE_ERROR = 2
 ANALYSIS_ERROR = 1
@@ -85,21 +83,6 @@ def _positive(text: str) -> int:
 
 def _k(text: str) -> int | str:
     return text if text == "auto" else _positive(text)
-
-
-def _n_list(text: str) -> list[int]:
-    return [_positive(x) for x in text.split(",")]
-
-
-def _mc_level(alpha: float, eps: float) -> float:
-    """``alpha - eps``, the level Monte Carlo tests run at; McConfig needs eps below it."""
-    level = alpha - eps
-    if not eps < level:
-        raise ValidationError(
-            f"eps must be smaller than alpha - eps, the level the tests use "
-            f"(--eps {eps}, --alpha {alpha}, alpha - eps = {level:.10g})"
-        )
-    return level
 
 
 def _interval_fields(iv: Interval, n: int) -> dict:
@@ -160,7 +143,13 @@ def _cmd_interval(args: argparse.Namespace) -> int:
     cfg = None
     threads = 1
     if args.method == "mc":
-        level = _mc_level(args.alpha, args.eps)
+        # Monte Carlo tests run at alpha - eps, and McConfig needs eps below it.
+        level = args.alpha - args.eps
+        if not args.eps < level:
+            raise ValidationError(
+                f"eps must be smaller than alpha - eps, the level the tests use "
+                f"(--eps {args.eps}, --alpha {args.alpha}, alpha - eps = {level:.10g})"
+            )
         recommended = required_k(args.eps, obs)
         k = recommended if args.k == "auto" else args.k
         cfg = McConfig(alpha=level, eps=args.eps, k=k, seed=args.seed)
@@ -183,7 +172,7 @@ def _cmd_interval(args: argparse.Namespace) -> int:
 def read_subject_file(path: str) -> MaskedObservations:
     """Parse the subject-level format: header ``z,y``; rows with z in {0,1}
     and y in {0,1,NA}."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0].replace(" ", "").lower() != "z,y":
         raise ValidationError("first line must be the header 'z,y'")
@@ -234,56 +223,12 @@ def _cmd_missing(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.table1:
-        rows = validation.table1_repro(args.alpha)
-        for r in rows:
-            print(
-                f"counts={tuple(r['counts'])} expected={r['expected_scaled']} "
-                f"enumeration={r['enumeration']['scaled']} ({r['enumeration']['tests']} tests) "
-                f"fast={r['fast_balanced']['scaled']} ({r['fast_balanced']['tests']} tests) "
-                f"general={r['general_exact']['scaled']} ({r['general_exact']['tests']} tests) "
-                f"{'OK' if r['match'] else 'MISMATCH'}"
-            )
-        return 0 if all(r["match"] for r in rows) else ANALYSIS_ERROR
-    if args.growth:
-        _mc_level(args.alpha, args.eps)
-        report = validation.mc_growth(
-            n_list=args.n_list, eps=args.eps, alpha=args.alpha, seed=args.seed, threads=args.threads
-        )
-        for row in report.rows:
-            print(
-                f"n={row.n} k={row.k} tests={row.tests} samples={row.samples} "
-                f"model_ops={row.model_ops:.3e} predicted={row.predicted:.3e} wall={row.wall_s:.1f}s"
-            )
-        print(
-            f"slope measured={report.measured_slope:.3f} predicted={report.predicted_slope:.3f} "
-            f"relative-gap={report.slope_ratio_error:.1%}"
-        )
-        return 0
-    if args.lengths:
-        rows = validation.length_bound_sweep(args.alpha, [20, 50, 100, 200])
-        lines = [f"max_length={r.max_length:.4f} bound={r.bound:.4f}" for r in rows]
-    elif args.counts_budget:
-        rows = validation.count_bound_sweep(alpha=args.alpha)
-        lines = [f"max_tests={r.max_tests} budget={r.bound:.0f}" for r in rows]
-    else:
-        print("usage error: choose one of --table1 / --growth / --lengths / --counts-budget", file=sys.stderr)
-        return USAGE_ERROR
-    for row, line in zip(rows, lines):
-        print(f"n={row.n} samples={row.samples} {line} {'OK' if row.ok else 'VIOLATION'}")
-    return 0 if all(row.ok for row in rows) else ANALYSIS_ERROR
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permci",
         description="Exact confidence intervals for binary-outcome randomized experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # argparse passes a string default through `type`, so a bad PERMCI_THREADS
-    # is a usage error like a bad --threads.
-    threads = os.environ.get("PERMCI_THREADS", "1")
 
     def common(p: argparse.ArgumentParser, counts: bool = True) -> None:
         if counts:
@@ -300,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--eps", type=_level, required=True)
     p_mc.add_argument("--k", type=_k, default="auto", help="samples per test, or 'auto'")
     p_mc.add_argument("--seed", type=_seed, required=True)
-    p_mc.add_argument("--threads", type=_positive, default=threads)
+    # argparse passes a string default through `type`, so a bad PERMCI_THREADS
+    # is a usage error like a bad --threads.
+    p_mc.add_argument("--threads", type=_positive, default=os.environ.get("PERMCI_THREADS", "1"))
     p_mc.set_defaults(func=_cmd_interval, method="mc")
 
     p_enum = sub.add_parser(
@@ -315,21 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_missing.add_argument("--pad-odd", action="store_true", help="balance an odd experiment first")
     p_missing.add_argument("--format", choices=("text", "json"), default="text")
     p_missing.set_defaults(func=_cmd_missing)
-
-    p_bench = sub.add_parser("bench", help="reference rows and cost measurements")
-    modes = p_bench.add_mutually_exclusive_group()
-    modes.add_argument("--table1", action="store_true")
-    modes.add_argument("--growth", action="store_true")
-    modes.add_argument("--lengths", action="store_true")
-    modes.add_argument("--counts-budget", action="store_true")
-    p_bench.add_argument("--alpha", type=_level, default=0.05)
-    p_bench.add_argument("--eps", type=_level, default=0.01)
-    p_bench.add_argument("--seed", type=_seed, default=20240501)
-    p_bench.add_argument("--threads", type=_positive, default=threads)
-    p_bench.add_argument(
-        "--n-list", type=_n_list, default=None, help="comma-separated even n values for --growth"
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

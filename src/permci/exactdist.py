@@ -135,7 +135,8 @@ def _float_grid(v: CountVector, d: Design) -> tuple[np.ndarray, np.ndarray]:
     """Flat arrays of statistic numerators and log-probabilities per grid cell."""
     if d.n > FLOAT_MODE_MAX_N:
         raise CapacityError(
-            f"float-mode enumeration is limited to n <= {FLOAT_MODE_MAX_N}, got n={d.n}"
+            f"float-mode enumeration is limited to n <= {FLOAT_MODE_MAX_N}, got n={d.n}; "
+            'use the Monte Carlo method instead (permci mc, or method="mc")'
         )
     m = d.m
     logfact = _log_binom_table(d.n)

@@ -6,13 +6,17 @@ per-assignment forms of the Monte Carlo and line-walk machinery (one split,
 one assignment summary, one stepped summary) live here too, checked against
 the vectorized forms in the package.  So do the statistic's full
 distribution (`exact_pmf`), the witness search for possible tables, the
-chi-squared goodness-of-fit test and the exhaustive coverage harnesses.
+chi-squared goodness-of-fit test, the exhaustive coverage harnesses, the
+interval-length sweep against its envelope (`length_bound_sweep`) and the
+Monte Carlo growth harness (`mc_growth`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -33,7 +37,7 @@ from permci.core import (
 )
 from permci.exactdist import _check_v_d, _float_grid, split_weights
 from permci.missing import MaskedCounts, missing_interval
-from permci.montecarlo import McConfig, sample_splits
+from permci.montecarlo import McConfig, mc_interval_balanced, required_k_balanced, sample_splits
 from permci.unbalanced import SummaryBatch, _walk_line
 
 
@@ -508,3 +512,110 @@ def coverage_missing_exhaustive(
             covered += weight
         total += weight
     return Fraction(covered, total)
+
+
+def random_balanced_obs(n: int, rng: random.Random) -> ObservedCounts:
+    m = n // 2
+    n11 = rng.randint(0, m)
+    n01 = rng.randint(0, m)
+    return ObservedCounts(n11, m - n11, n01, m - n01)
+
+
+@dataclass(frozen=True)
+class LengthRow:
+    n: int
+    samples: int
+    max_length: float
+    bound: float
+
+    @property
+    def ok(self) -> bool:
+        return self.max_length <= self.bound
+
+
+def length_bound_sweep(
+    alpha: float, n_list: list[int], per_n: int = 20, seed: int = 2024
+) -> list[LengthRow]:
+    """Max interval length over random balanced observations per n, against
+    the theoretical envelope ``sqrt(32 log(2/alpha) / n)``."""
+    rng = random.Random(seed)
+    rows = []
+    for n in n_list:
+        if n % 2:
+            raise ValidationError("length sweep uses balanced designs; n must be even")
+        longest = 0.0
+        for _ in range(per_n):
+            obs = random_balanced_obs(n, rng)
+            longest = max(longest, float(interval(obs, alpha).interval.length))
+        rows.append(LengthRow(n, per_n, longest, math.sqrt(32 * math.log(2 / alpha) / n)))
+    return rows
+
+
+@dataclass(frozen=True)
+class GrowthRow:
+    n: int
+    k: int
+    tests: int
+    samples: int
+    model_ops: float
+    predicted: float
+    wall_s: float
+
+
+@dataclass(frozen=True)
+class GrowthReport:
+    rows: list[GrowthRow]
+    measured_slope: float
+    predicted_slope: float
+
+    @property
+    def slope_ratio_error(self) -> float:
+        return abs(self.measured_slope - self.predicted_slope) / abs(self.predicted_slope)
+
+
+def _growth_obs(n: int) -> ObservedCounts:
+    # Complete-separation observation: every treated subject responded, no
+    # control did.  Maximal estimate, so one endpoint search sweeps the whole
+    # attainable range below it -- the stress case for the test budget.
+    m = n // 2
+    return ObservedCounts(m, 0, 0, m)
+
+
+def mc_growth(
+    n_list: list[int] | None = None,
+    eps: float = 0.01,
+    alpha: float = 0.05,
+    seed: int = 20240501,
+    threads: int = 1,
+) -> GrowthReport:
+    """Monte Carlo interval cost as n grows, against the predicted curve.
+
+    ``model_ops`` counts samples times an O(n) per-sample charge, which is
+    the cost model under which the end-to-end complexity bound
+    ``(n^2 log n / eps^2) * log(n log n / eps)`` is stated; the number of
+    tests actually performed is the empirical quantity being checked.  (The
+    implementation itself draws class-count samples at O(1) each, so wall
+    time grows more slowly; wall times are reported alongside.)
+    """
+    if n_list is None:
+        n_list = [100, 1000, 10000]
+    if any(n < 2 or n % 2 for n in n_list):
+        raise ValidationError(f"growth uses balanced designs: need even n >= 2, got {n_list}")
+    if len(set(n_list)) < 2:
+        raise ValidationError(f"growth fits a slope: need at least two distinct n, got {n_list}")
+    rows = []
+    for n in n_list:
+        k = required_k_balanced(eps, n)
+        cfg = McConfig(alpha=alpha - eps, eps=eps, k=k, seed=seed)
+        obs = _growth_obs(n)
+        t0 = time.perf_counter()
+        res = mc_interval_balanced(cfg, obs, threads=threads)
+        wall = time.perf_counter() - t0
+        predicted = (n**2 * math.log(n) / eps**2) * math.log(n * math.log(n) / eps)
+        rows.append(
+            GrowthRow(n, k, res.tests, res.samples_drawn, float(res.samples_drawn) * n, predicted, wall)
+        )
+    xs = np.log([r.n for r in rows])
+    measured = float(np.polyfit(xs, np.log([r.model_ops for r in rows]), 1)[0])
+    predicted = float(np.polyfit(xs, np.log([r.predicted for r in rows]), 1)[0])
+    return GrowthReport(rows, measured, predicted)

@@ -23,7 +23,7 @@ from permci.montecarlo import (
     substream,
 )
 from permci.unbalanced import SummaryBatch, unbalanced_interval
-from permci.validation import length_bound_sweep, mc_growth
+from _oracles import length_bound_sweep, mc_growth
 
 from _oracles import (
     all_count_vectors,

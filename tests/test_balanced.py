@@ -12,6 +12,7 @@ from permci.balanced import (
 from permci.exactdist import ExactTester, exact_pvalue
 
 from _oracles import all_count_vectors, all_observed
+from test_acceptance import REFERENCE_ROWS
 
 
 class CountingStep:
@@ -101,20 +102,19 @@ def test_effect_outside_interval_is_incompatible():
     assert is_compatible_balanced(-5, obs, tester).compatible
 
 
-TABLE1 = [
-    ((2, 6, 8, 0), (-14, -5), 24),
-    ((6, 4, 4, 6), (-4, 10), 16),
-    ((8, 4, 5, 7), (-3, 13), 26),
-]
-
-
-@pytest.mark.parametrize("counts,scaled,reported", TABLE1)
+@pytest.mark.parametrize("counts,scaled,reported", [(c, s, r) for c, s, _, r in REFERENCE_ROWS])
 def test_reference_rows_fast(counts, scaled, reported):
     obs = ObservedCounts(*counts)
     res = fast_interval_balanced(0.05, obs)
     assert res.interval.scaled(obs.n) == scaled
     assert res.tests <= 4 * obs.n * math.log2(obs.n)
     assert reported / 2 <= res.tests <= reported * 2
+
+
+def test_fast_search_test_budget():
+    # The 4 n log2 n budget holds for every observation at n = 16.
+    for obs in all_observed(16, 8):
+        assert fast_interval_balanced(0.05, obs).tests <= 4 * obs.n * math.log2(obs.n), obs
 
 
 def test_interval_contains_estimate():

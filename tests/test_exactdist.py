@@ -92,7 +92,7 @@ def test_float_mode_matches_rational():
 
 def test_float_mode_capacity_error():
     big = 6000
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r'use the Monte Carlo method instead \(permci mc, or method="mc"\)'):
         exact_pmf(CountVector(big, 0, 0, big), Design(2 * big, big), mode="float")
 
 

@@ -21,6 +21,7 @@ from _oracles import (
     stat_from_summary,
     step_summary,
 )
+from test_acceptance import REFERENCE_ROWS
 
 
 def test_step_summary_degenerate_control_only():
@@ -130,9 +131,11 @@ def test_exact_mode_spec_case():
 
 
 def test_exact_mode_balanced_reference_row():
-    obs = ObservedCounts(2, 6, 8, 0)
-    res = unbalanced_interval(obs, alpha=0.05, mode="exact")
-    assert res.interval.scaled(16) == (-14, -5)
+    # The general search on equal groups cross-checks the fast one.
+    for counts, scaled, _, _ in REFERENCE_ROWS:
+        obs = ObservedCounts(*counts)
+        res = unbalanced_interval(obs, alpha=0.05, mode="exact")
+        assert res.interval.scaled(obs.n) == scaled, counts
 
 
 def test_mc_mode_matches_exact_on_small_cases():

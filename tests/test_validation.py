@@ -4,14 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from permci.core import CapacityError, CountVector, Design, ValidationError
-from permci.validation import (
-    REFERENCE_ROWS,
-    count_bound_sweep,
-    length_bound_sweep,
-    mc_growth,
-    table1_repro,
-)
+from permci import interval
+from permci.core import CapacityError, CountVector, Design, ObservedCounts, ValidationError
+from permci.unbalanced import unbalanced_interval
 
 from _oracles import (
     assignment_pmf,
@@ -19,9 +14,11 @@ from _oracles import (
     chisq_gof,
     coverage_exhaustive,
     iter_splits,
+    length_bound_sweep,
+    mc_growth,
     observed_from_split,
 )
-from test_acceptance import REFERENCE_ROWS as ACCEPTANCE_ROWS
+from test_acceptance import REFERENCE_ROWS
 
 
 def test_chi2_sf_reference_values():
@@ -83,13 +80,16 @@ def test_coverage_capacity_guard():
 
 
 def test_table1_repro_consistency():
-    for row in table1_repro():
-        assert (
-            row["enumeration"]["scaled"]
-            == row["fast_balanced"]["scaled"]
-            == row["general_exact"]["scaled"]
-            == row["expected_scaled"]
-        )
+    # Enumeration, the fast balanced search and the general search agree on
+    # every reference row, and all equal the recorded endpoints.
+    for counts, scaled, _, _ in REFERENCE_ROWS:
+        obs = ObservedCounts(*counts)
+        found = [
+            interval(obs, 0.05, "enum").interval.scaled(obs.n),
+            interval(obs, 0.05).interval.scaled(obs.n),
+            unbalanced_interval(obs, alpha=0.05, mode="exact").interval.scaled(obs.n),
+        ]
+        assert all(f == scaled for f in found), (counts, found)
 
 
 def test_length_sweep_small():
@@ -97,16 +97,11 @@ def test_length_sweep_small():
     assert all(r.ok for r in rows)
 
 
-def test_count_sweep_small():
-    rows = count_bound_sweep([16, 24], per_n=4)
-    assert all(r.ok for r in rows)
-
-
 def test_mc_growth_rejects_odd_n_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("measured before rejecting odd n")
 
-    monkeypatch.setattr("permci.validation.mc_interval_balanced", no_work)
+    monkeypatch.setattr("_oracles.mc_interval_balanced", no_work)
     with pytest.raises(ValidationError):
         mc_growth(n_list=[20, 21], eps=0.02)
 
@@ -115,12 +110,7 @@ def test_mc_growth_needs_two_distinct_n_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("measured before rejecting the n list")
 
-    monkeypatch.setattr("permci.validation.mc_interval_balanced", no_work)
+    monkeypatch.setattr("_oracles.mc_interval_balanced", no_work)
     for n_list in ([20], [20, 20]):
         with pytest.raises(ValidationError):
             mc_growth(n_list=n_list, eps=0.02)
-
-
-def test_bench_reference_rows_are_the_acceptance_rows():
-    # The acceptance suite's copy is the contract; `bench --table1` checks these.
-    assert REFERENCE_ROWS == ACCEPTANCE_ROWS
