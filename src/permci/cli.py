@@ -257,10 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_interval, method="enum")
 
     p_missing = sub.add_parser("missing", help="interval from a subject file with missing outcomes")
+    common(p_missing, counts=False)
     p_missing.add_argument("--file", required=True)
-    p_missing.add_argument("--alpha", type=_level, default=0.05)
     p_missing.add_argument("--pad-odd", action="store_true", help="balance an odd experiment first")
-    p_missing.add_argument("--format", choices=("text", "json"), default="text")
     p_missing.set_defaults(func=_cmd_missing)
 
     return parser

@@ -35,7 +35,7 @@ from permci.core import (
     ValidationError,
     tau,
 )
-from permci.exactdist import _check_v_d, _float_grid, split_weights
+from permci.exactdist import _check_v_d, _split_cells, split_weights
 from permci.missing import MaskedCounts, missing_interval
 from permci.montecarlo import McConfig, mc_interval_balanced, required_k_balanced, sample_splits
 from permci.unbalanced import SummaryBatch, _walk_line
@@ -265,7 +265,7 @@ def exact_pmf(v: CountVector, d: Design, mode: str = "rational") -> StatPmf:
         )
         return StatPmf(entries, d, mode)
     if mode == "float":
-        nums, logw = _float_grid(v, d)
+        nums, logw = _split_cells(v, d)
         order = np.argsort(nums, kind="stable")
         uniq, start = np.unique(nums[order], return_index=True)
         probs = np.add.reduceat(np.exp(logw[order]), start)

@@ -1,0 +1,90 @@
+"""The float p-value kernel against rational arithmetic.
+
+For equal groups `_float_grid` sums one term per treated count ``y`` drawn
+from the (1,1), (1,0) and (0,1) classes, so its work is O(n) per table.  These
+tests pin its value (every table and observation for even n <= 12, the
+degenerate tables, and near-null tables at n = 200, 1000 and 2000) and its
+term count.  Float mode is allowed up to n = 5000, but the error there is not
+shown: the rational oracle's cost grows as m^2, about 10 s per table at
+n = 2000 on a 2-vCPU host.
+"""
+
+import pytest
+
+from permci.core import CountVector, ObservedCounts
+from permci.exactdist import FLOAT_P_TOL, _float_grid, exact_pvalue
+
+from _oracles import all_count_vectors
+
+
+def float_and_rational(v, obs):
+    return exact_pvalue(v, obs, "float"), exact_pvalue(v, obs)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_every_table_and_observation(n):
+    m = n // 2
+    tables = list(all_count_vectors(n))
+    for n11 in range(m + 1):
+        for n01 in range(m + 1):
+            obs = ObservedCounts(n11, m - n11, n01, m - n01)
+            for v in tables:
+                f, r = float_and_rational(v, obs)
+                assert abs(f - float(r)) < 1e-13, (obs, v.astuple(), f, r)
+                assert len(_float_grid(v, obs)[0]) <= n + 1
+
+
+@pytest.mark.parametrize(
+    "obs,v,expect",
+    [
+        # gap 0: tau(v) equals the estimate 1/3, so every split is extreme
+        ((2, 1, 1, 2), (1, 2, 0, 3), 1),
+        ((2, 1, 1, 2), (0, 3, 1, 2), 1),
+        # no contrast subjects: x11 is fixed by y
+        ((3, 1, 1, 3), (2, 0, 0, 6), "3/7"),
+        # no (1,1) subjects: x11 = 0
+        ((3, 1, 1, 3), (0, 2, 0, 6), "3/7"),
+        # no (0,0) subjects: y = m
+        ((3, 1, 1, 3), (2, 4, 2, 0), "3/7"),
+        # both cuts outside the support: a point mass, and an empty pool
+        ((2, 1, 1, 2), (0, 6, 0, 0), 0),
+        ((4, 0, 0, 4), (0, 0, 0, 8), 0),
+        ((4, 0, 0, 4), (4, 0, 0, 4), "1/35"),
+    ],
+)
+def test_degenerate_tables(obs, v, expect):
+    obs, v = ObservedCounts(*obs), CountVector(*v)
+    f, r = float_and_rational(v, obs)
+    assert str(r) == str(expect)
+    if r in (0, 1):
+        assert f == float(r)
+    else:
+        assert abs(f - float(r)) < 1e-13
+
+
+def test_terms_are_linear_in_n():
+    for n in (100, 1000, 5000):
+        m = n // 2
+        obs = ObservedCounts(3 * n // 10, m - 3 * n // 10, n // 4, m - n // 4)
+        for v in (CountVector(n // 3, n // 6, n // 6, n - 2 * (n // 3)), CountVector(0, m, m, 0)):
+            assert len(_float_grid(v, obs)[0]) <= n + 1
+
+
+@pytest.mark.parametrize(
+    "n,tables",
+    [
+        (200, [(54, 48, 17, 81), (69, 43, 18, 70), (60, 41, 3, 96), (74, 24, 20, 82), (60, 48, 8, 84)]),
+        (1000, [(371, 118, 30, 481), (330, 180, 70, 420)]),
+        (2000, [(760, 413, 203, 624)]),
+    ],
+)
+def test_near_null_tables_within_tolerance(n, tables):
+    """Tables with p-values from 0.1 to 0.8 against the estimate 1/10; the
+    largest errors measured were 5e-14 at n = 200, 2.1e-13 at n = 1000 and
+    1.4e-13 at n = 2000."""
+    m = n // 2
+    obs = ObservedCounts(3 * n // 10, m - 3 * n // 10, n // 4, m - n // 4)
+    for t in tables:
+        f, r = float_and_rational(CountVector(*t), obs)
+        assert 0.1 <= r <= 0.9
+        assert abs(f - float(r)) <= FLOAT_P_TOL, (t, f, r)
