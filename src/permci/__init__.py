@@ -6,12 +6,10 @@ from .core import (
     ContractError,
     CountVector,
     Design,
-    EffectRange,
     ExactStat,
     Interval,
     ObservedCounts,
     PermCIError,
-    ScaledEffect,
     ValidationError,
     c_set,
     neyman,
@@ -26,9 +24,6 @@ from .unbalanced import required_k_unbalanced, unbalanced_interval
 from .api import IntervalResult, interval, required_k
 from .missing import (
     MaskedCounts,
-    MaskedObservations,
-    SubjectRecord,
-    impute_extremes,
     missing_interval,
     pad_odd,
 )
@@ -40,18 +35,14 @@ __all__ = [
     "ContractError",
     "CountVector",
     "Design",
-    "EffectRange",
     "ExactStat",
     "ExactTester",
     "Interval",
     "IntervalResult",
     "MaskedCounts",
-    "MaskedObservations",
     "McConfig",
     "ObservedCounts",
     "PermCIError",
-    "ScaledEffect",
-    "SubjectRecord",
     "ValidationError",
     "binary_search",
     "c_set",
@@ -59,7 +50,6 @@ __all__ = [
     "exact_pvalue",
     "fast_interval_balanced",
     "feasible_v10_range",
-    "impute_extremes",
     "interval",
     "is_compatible_balanced",
     "is_possible",

@@ -184,18 +184,17 @@ def fast_interval_balanced(
         if anchor not in c_range:
             raise ValidationError("internal: estimate outside attainable effects")
 
-        if anchor == c_range.smax:
+        smin, smax = c_range[0], c_range[-1]
+        if anchor == smax:
             upper = anchor if compatible(anchor) else None
         else:
-            upper = binary_search(lambda x: 0 if compatible(x) else 1, anchor, c_range.smax)
+            upper = binary_search(lambda x: 0 if compatible(x) else 1, anchor, smax)
             if upper < anchor:
                 upper = None
-        if anchor == c_range.smin:
+        if anchor == smin:
             lower = anchor if compatible(anchor) else None
         else:
-            mirrored = binary_search(
-                lambda y: 0 if compatible(-y) else 1, -anchor, -c_range.smin
-            )
+            mirrored = binary_search(lambda y: 0 if compatible(-y) else 1, -anchor, -smin)
             lower = -mirrored if mirrored >= -anchor else None
 
         if upper is None or lower is None:

@@ -31,7 +31,7 @@ from .core import (
     neyman,
 )
 from .api import interval, required_k
-from .missing import MaskedObservations, SubjectRecord, missing_interval, pad_odd
+from .missing import MaskedCounts, missing_interval, pad_odd
 from .montecarlo import McConfig
 
 USAGE_ERROR = 2
@@ -169,14 +169,15 @@ def _cmd_interval(args: argparse.Namespace) -> int:
     return 0
 
 
-def read_subject_file(path: str) -> MaskedObservations:
-    """Parse the subject-level format: header ``z,y``; rows with z in {0,1}
+def read_subject_file(path: str) -> MaskedCounts:
+    """Tally the subject-level format: header ``z,y``; rows with z in {0,1}
     and y in {0,1,NA}."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0].replace(" ", "").lower() != "z,y":
         raise ValidationError("first line must be the header 'z,y'")
-    records = []
+    # Keys in the field order of MaskedCounts.
+    tally = {(z, y): 0 for z in (1, 0) for y in (1, 0, None)}
     for idx, line in enumerate(lines[1:], start=2):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
@@ -193,11 +194,12 @@ def read_subject_file(path: str) -> MaskedObservations:
                 y = int(parts[1])
             except ValueError:
                 raise ValidationError(f"line {idx}: bad outcome {parts[1]!r}") from None
-        try:
-            records.append(SubjectRecord(z, y))
-        except ValidationError as exc:
-            raise ValidationError(f"line {idx}: {exc}") from None
-    return MaskedObservations(tuple(records))
+        if z not in (0, 1):
+            raise ValidationError(f"line {idx}: group indicator must be 0 or 1, got {z}")
+        if y not in (0, 1, None):
+            raise ValidationError(f"line {idx}: outcome must be 0, 1 or missing, got {y}")
+        tally[z, y] += 1
+    return MaskedCounts(*tally.values())
 
 
 def _cmd_missing(args: argparse.Namespace) -> int:

@@ -12,6 +12,10 @@ Conventions used throughout the package:
   A subject of class ``(1, 0)`` responds only if treated, so the average
   treatment effect of a table is ``tau = (v10 - v01) / n``.
 
+- Effects are plain numbers: `tau` returns an exact ``Fraction``, and the
+  searches walk the scaled effects ``s = n * tau`` as integers drawn from
+  the ``range`` that `c_set` returns.
+
 - The difference-in-means estimator ``T = n11/m - n01/(n-m)`` is kept as an
   exact integer numerator over the denominator ``m * (n - m)`` (`diff_num`).
   Whether a re-randomized statistic is at least as extreme as the observed
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 
 class PermCIError(Exception):
@@ -141,29 +144,6 @@ class CountVector:
 
 
 @dataclass(frozen=True)
-class ScaledEffect:
-    """An effect value ``tau = s / n`` stored as the exact integer ``s``.
-
-    As a table ranges over all potential-outcome assignments, ``n * tau``
-    ranges over the 2n+1 integers ``-n, ..., n``.
-    """
-
-    s: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not -self.n <= self.s <= self.n:
-            raise ValidationError(f"scaled effect {self.s} outside [-n, n] for n={self.n}")
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.s, self.n)
-
-    def __float__(self) -> float:
-        return self.s / self.n
-
-
-@dataclass(frozen=True)
 class ExactStat:
     """A difference-in-means value ``num / (m * (n - m))``, held exactly."""
 
@@ -223,11 +203,8 @@ class Interval:
             raise ValidationError(f"endpoints ({self.lower}, {self.upper}) not multiples of 1/{n}")
         return (int(lo), int(hi))
 
-    def contains(self, value: Fraction | ScaledEffect) -> bool:
-        if self.is_empty:
-            return False
-        f = value.fraction if isinstance(value, ScaledEffect) else value
-        return self.lower <= f <= self.upper
+    def contains(self, value: Fraction) -> bool:
+        return not self.is_empty and self.lower <= value <= self.upper
 
     def contains_interval(self, other: "Interval") -> bool:
         if other.is_empty:
@@ -243,29 +220,9 @@ class Interval:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class EffectRange:
-    """The consecutive scaled effects ``smin, smin+1, ..., smin+n`` that some
-    possible table can attain, given observed counts.  Always n+1 values."""
-
-    smin: int
-    smax: int
-    n: int
-
-    def __iter__(self) -> Iterator[ScaledEffect]:
-        for s in range(self.smin, self.smax + 1):
-            yield ScaledEffect(s, self.n)
-
-    def __len__(self) -> int:
-        return self.smax - self.smin + 1
-
-    def __contains__(self, s: int) -> bool:
-        return self.smin <= s <= self.smax
-
-
-def tau(v: CountVector) -> ScaledEffect:
+def tau(v: CountVector) -> Fraction:
     """Average treatment effect of a table: only the contrast classes count."""
-    return ScaledEffect(v.v10 - v.v01, v.n)
+    return Fraction(v.v10 - v.v01, v.n)
 
 
 def diff_num(s1, s0, m: int, controls: int):
@@ -280,15 +237,16 @@ def neyman(obs: ObservedCounts) -> ExactStat:
     return ExactStat(diff_num(obs.n11, obs.n01, d.m, d.controls), d.m, d.controls)
 
 
-def c_set(obs: ObservedCounts) -> EffectRange:
-    """Scaled effects attainable by tables consistent with the observed data.
+def c_set(obs: ObservedCounts) -> range:
+    """Scaled effects ``n * tau`` attainable by tables consistent with the
+    observed data: always the n+1 consecutive integers from ``smin``.
 
     The smallest is ``(n11 - n01) - m``: impute outcome 0 for every treated
     subject's unobserved control outcome and 1 for every control subject's
     unobserved treatment outcome, then shift upward one unit at a time.
     """
     smin = obs.n11 - obs.n01 - obs.m
-    return EffectRange(smin, smin + obs.n, obs.n)
+    return range(smin, smin + obs.n + 1)
 
 
 def alpha_fraction(alpha: float | Fraction) -> Fraction:

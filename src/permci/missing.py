@@ -1,5 +1,9 @@
 """Intervals that stay valid when some outcomes were never recorded.
 
+The data enter as `MaskedCounts`: per group, how many recorded outcomes
+are 1, how many are 0, and how many are missing.  Nothing else about the
+subjects matters to the construction below.
+
 No assumption is made about why an outcome is missing: the missingness may
 depend on the outcomes and the assignment in any way.  Validity comes from
 bracketing.  Imputing 1 for every missing treated outcome and 0 for every
@@ -15,30 +19,17 @@ own point estimate, so each endpoint is additionally clamped by the relevant
 imputation's estimate, which can land off the 1/n lattice.
 
 An odd-sized experiment can be analyzed on the fast balanced path by
-appending one fictitious subject with an unrecorded outcome to the smaller
-group; the widened interval still covers the effect of the real subjects.
+adding one fictitious subject with an unrecorded outcome to the smaller
+group (`pad_odd`); the widened interval still covers the effect of the real
+subjects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 from .core import Interval, ObservedCounts, ValidationError, neyman
 from .api import interval
-
-
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One subject: group indicator and observed outcome (None if missing)."""
-
-    z: int
-    y: int | None
-
-    def __post_init__(self) -> None:
-        if self.z not in (0, 1):
-            raise ValidationError(f"group indicator must be 0 or 1, got {self.z}")
-        if self.y not in (0, 1, None):
-            raise ValidationError(f"outcome must be 0, 1 or missing, got {self.y}")
 
 
 @dataclass(frozen=True)
@@ -53,15 +44,10 @@ class MaskedCounts:
     missing_control: int
 
     def __post_init__(self) -> None:
-        if min(
-            self.ones_treated,
-            self.zeros_treated,
-            self.missing_treated,
-            self.ones_control,
-            self.zeros_control,
-            self.missing_control,
-        ) < 0:
+        if min(astuple(self)) < 0:
             raise ValidationError("counts must be nonnegative")
+        if self.n < 2:
+            raise ValidationError("need at least two subjects")
 
     @property
     def m(self) -> int:
@@ -93,44 +79,6 @@ class MaskedCounts:
 
 
 @dataclass(frozen=True)
-class MaskedObservations:
-    """Subject-level records of a possibly incomplete experiment."""
-
-    records: tuple[SubjectRecord, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.records) < 2:
-            raise ValidationError("need at least two subjects")
-
-    @property
-    def n(self) -> int:
-        return len(self.records)
-
-    @property
-    def m(self) -> int:
-        return sum(r.z for r in self.records)
-
-    def to_counts(self) -> MaskedCounts:
-        tally = {(z, y): 0 for z in (0, 1) for y in (0, 1, None)}
-        for r in self.records:
-            tally[(r.z, r.y)] += 1
-        return MaskedCounts(
-            tally[(1, 1)],
-            tally[(1, 0)],
-            tally[(1, None)],
-            tally[(0, 1)],
-            tally[(0, 0)],
-            tally[(0, None)],
-        )
-
-
-def impute_extremes(data: MaskedObservations | MaskedCounts) -> tuple[ObservedCounts, ObservedCounts]:
-    """The optimistic and pessimistic completions, as (plus, minus)."""
-    counts = data.to_counts() if isinstance(data, MaskedObservations) else data
-    return counts.plus, counts.minus
-
-
-@dataclass(frozen=True)
 class MissingResult:
     interval: Interval
     plus: ObservedCounts
@@ -138,9 +86,9 @@ class MissingResult:
     method: str
 
 
-def missing_interval(alpha: float, data: MaskedObservations | MaskedCounts) -> MissingResult:
+def missing_interval(alpha: float, data: MaskedCounts) -> MissingResult:
     """Bracketing interval valid under arbitrary missingness."""
-    plus, minus = impute_extremes(data)
+    plus, minus = data.plus, data.minus
     lower_iv = interval(minus, alpha).interval
     upper_iv = interval(plus, alpha).interval
     if plus.design.balanced:
@@ -159,8 +107,8 @@ def missing_interval(alpha: float, data: MaskedObservations | MaskedCounts) -> M
     return MissingResult(Interval(lower, upper), plus, minus, method)
 
 
-def pad_odd(data: MaskedObservations) -> MaskedObservations:
-    """Append one unrecorded-outcome subject to the smaller group.
+def pad_odd(data: MaskedCounts) -> MaskedCounts:
+    """Add one subject with an unrecorded outcome to the smaller group.
 
     Turns an odd-sized experiment into an even, balanced one analyzable by
     the fast path; rejects even input because padding it would unbalance.
@@ -172,5 +120,6 @@ def pad_odd(data: MaskedObservations) -> MaskedObservations:
         raise ValidationError(
             f"groups of {m} and {data.n - m} cannot be balanced by one subject"
         )
-    smaller_group = 1 if m < data.n - m else 0
-    return MaskedObservations(data.records + (SubjectRecord(smaller_group, None),))
+    if m < data.n - m:
+        return replace(data, missing_treated=data.missing_treated + 1)
+    return replace(data, missing_control=data.missing_control + 1)

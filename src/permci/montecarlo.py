@@ -30,6 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -143,6 +144,27 @@ def mc_test(
     return McDecision(hits >= cfg.accept_count, hits)
 
 
+def _hoeffding_k(eps: float, n: int, tests: Callable[[int], float]) -> int:
+    """Smallest K with ``K >= eps^-2 * ln(tests(n) / eps)``: the samples per
+    test that keep ``tests(n)`` tests, union-bounded, within ``eps``.
+
+    Both sample-size rules go through here, so an ``eps`` for which K is not
+    a finite number (nan, inf, or so small that ``eps**2`` underflows) is a
+    `ValidationError` under either rule.
+    """
+    if eps <= 0:
+        raise ValidationError("eps must be positive")
+    if n < 2:
+        raise ValidationError("need n >= 2")
+    try:
+        k = math.log(tests(n) / eps) / eps**2
+    except (ArithmeticError, ValueError):
+        k = math.nan
+    if not math.isfinite(k):
+        raise ValidationError(f"eps={eps!r} gives no finite number of samples per test")
+    return math.ceil(k)
+
+
 def required_k_balanced(eps: float, n: int) -> int:
     """Samples per test guaranteeing level-accurate intervals, equal groups.
 
@@ -150,10 +172,7 @@ def required_k_balanced(eps: float, n: int) -> int:
     derived for ``n >= 15``; for smaller n it is still returned, with a
     warning, and remains conservative in practice.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    if n < 2:
-        raise ValidationError("need n >= 2")
+    k = _hoeffding_k(eps, n, lambda n: 8 * n * math.log2(n))
     if n < 15:
         warnings.warn(
             f"sample-size rule is calibrated for n >= 15 (got n={n}); "
@@ -161,7 +180,7 @@ def required_k_balanced(eps: float, n: int) -> int:
             UserWarning,
             stacklevel=2,
         )
-    return math.ceil(math.log(8 * n * math.log2(n) / eps) / eps**2)
+    return k
 
 
 class McTester:

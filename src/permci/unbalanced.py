@@ -30,7 +30,6 @@ Carlo noise, and doubles as the oracle path for small problems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ from .core import (
 )
 from .exactdist import ExactTester, extreme_cut, split_num
 from .feasibility import family_vector, feasible_v10_range, is_possible
-from .montecarlo import McConfig, sample_splits, substream
+from .montecarlo import McConfig, _hoeffding_k, sample_splits, substream
 
 
 class SummaryBatch:
@@ -113,11 +112,7 @@ def _walk_line(
 def required_k_unbalanced(eps: float, n: int) -> int:
     """Samples per test for the general-design search: smallest K with
     ``K >= eps^-2 * ln(4 n^3 / eps)``."""
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    if n < 2:
-        raise ValidationError("need n >= 2")
-    return math.ceil(math.log(4 * n**3 / eps) / eps**2)
+    return _hoeffding_k(eps, n, lambda n: 4 * n**3)
 
 
 @dataclass(frozen=True)
@@ -159,31 +154,18 @@ def unbalanced_interval(
 
     tester = ExactTester(obs, alpha) if mode == "exact" else None
     counters = {"base": 0, "line": 0}
-    memo: dict[int, bool] = {}
 
     def compatible(s: int) -> bool:
-        got = memo.get(s)
-        if got is None:
-            if mode == "exact":
-                got = _compatible_exact(s, obs, tester, counters)
-            else:
-                got = _compatible_mc(s, obs, cfg, counters)
-            memo[s] = got
-        return got
+        if mode == "exact":
+            return _compatible_exact(s, obs, tester, counters)
+        return _compatible_mc(s, obs, cfg, counters)
 
     effects = c_set(obs)
-    upper = None
-    for s in range(effects.smax, effects.smin - 1, -1):
-        if compatible(s):
-            upper = s
-            break
+    upper = next((s for s in reversed(effects) if compatible(s)), None)
     if upper is None:
         return UnbalancedResult(Interval.empty(), counters["base"], counters["line"])
-    lower = None
-    for s in range(effects.smin, upper + 1):
-        if compatible(s):
-            lower = s
-            break
+    # `upper` itself is known compatible, so the ascending search stops below it.
+    lower = next((s for s in range(effects[0], upper) if compatible(s)), upper)
     interval = Interval.from_scaled(lower, upper, obs.n)
     return UnbalancedResult(interval, counters["base"], counters["line"])
 

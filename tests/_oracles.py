@@ -31,7 +31,6 @@ from permci.core import (
     Design,
     ExactStat,
     ObservedCounts,
-    ScaledEffect,
     ValidationError,
     tau,
 )
@@ -276,7 +275,7 @@ def exact_pmf(v: CountVector, d: Design, mode: str = "rational") -> StatPmf:
     raise ValidationError(f"unknown mode {mode!r}")
 
 
-def pmf_is_symmetric(pmf: StatPmf, center: ScaledEffect) -> bool:
+def pmf_is_symmetric(pmf: StatPmf, center: Fraction) -> bool:
     """Exact mirror symmetry of a rational-mode pmf about ``center``.
 
     ``2 * center`` in statistic-numerator units is an integer for every table
@@ -284,11 +283,10 @@ def pmf_is_symmetric(pmf: StatPmf, center: ScaledEffect) -> bool:
     """
     if pmf.mode != "rational":
         raise ValidationError("symmetry check requires rational mode")
-    D = pmf.design.m * pmf.design.controls
-    twice_center = 2 * center.s * D
-    if twice_center % center.n:
+    twice_center = 2 * center * pmf.design.m * pmf.design.controls
+    if twice_center.denominator != 1:
         return False
-    twice_center //= center.n
+    twice_center = twice_center.numerator
     table = {v.num: p for v, p in pmf.entries}
     return all(table.get(twice_center - num) == p for num, p in table.items())
 
@@ -506,7 +504,7 @@ def coverage_missing_exhaustive(
         masked = masked_counts_from_split(y, split, rule)
         hit = cache.get(masked)
         if hit is None:
-            hit = missing_interval(alpha, masked).interval.contains(truth.fraction)
+            hit = missing_interval(alpha, masked).interval.contains(truth)
             cache[masked] = hit
         if hit:
             covered += weight

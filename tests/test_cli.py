@@ -4,6 +4,7 @@ import pytest
 
 from permci.cli import main, read_subject_file
 from permci.core import ObservedCounts
+from permci.missing import MaskedCounts
 from permci.montecarlo import McConfig
 from permci.unbalanced import unbalanced_interval
 
@@ -169,7 +170,24 @@ def test_read_subject_file_na(tmp_path):
     for encoding in ("utf-8", "utf-8-sig"):
         path.write_text("z,y\n1,NA\n0,1\n", encoding=encoding)
         data = read_subject_file(str(path))
-        assert data.records[0].y is None and data.records[1].y == 1
+        assert data == MaskedCounts(0, 0, 1, 1, 0, 0)
+
+
+def test_read_subject_file_returns_the_tally(tmp_path):
+    path = tmp_path / "d.csv"
+    body = "z,y\n1,1\n1,0\n1,NA\n1,1\n\n0,1\n0,0\n0,na\n0,NA\n0,0\n0,0\n"
+    for encoding in ("utf-8", "utf-8-sig"):
+        path.write_text(body, encoding=encoding)
+        assert read_subject_file(str(path)) == MaskedCounts(2, 1, 1, 1, 3, 2)
+
+
+def test_one_subject_file_is_a_usage_error_with_or_without_padding(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("z,y\n1,1\n")
+    for extra in ([], ["--pad-odd"]):
+        code, out, err = run_cli(capsys, "missing", "--file", str(path), *extra)
+        assert (code, out) == (2, "")
+        assert err == "usage error: need at least two subjects\n"
 
 
 def test_subject_file_value_errors_name_the_line(tmp_path, capsys):
@@ -179,6 +197,14 @@ def test_subject_file_value_errors_name_the_line(tmp_path, capsys):
         code, _, err = run_cli(capsys, "missing", "--file", str(path))
         assert code == 2
         assert err.startswith(f"usage error: line {line}: ")
+
+
+def test_mc_eps_without_a_finite_k_is_a_usage_error(capsys):
+    # eps**2 underflows to 0: no finite number of samples meets the rules.
+    for counts in ("5,5,5,5", "3,2,6,9"):
+        code, out, err = run_cli(capsys, "mc", "--counts", counts, "--eps", "1e-200", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: eps=1e-200 ")
 
 
 def test_validate_is_not_a_subcommand(capsys):

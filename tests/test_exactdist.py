@@ -65,7 +65,7 @@ def test_pmf_normalization_and_mean():
         for v in all_count_vectors(n):
             pmf = exact_pmf(v, d)
             assert pmf.total() == 1
-            assert pmf.mean() == tau(v).fraction
+            assert pmf.mean() == tau(v)
 
 
 def test_pmf_symmetry_balanced():

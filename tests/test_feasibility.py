@@ -64,7 +64,7 @@ def test_possible_effects_lie_in_attainable_range():
                 rng = c_set(obs)
                 for v in all_count_vectors(n):
                     if is_possible_bruteforce(v, obs):
-                        assert tau(v).s in rng, (v.astuple(), obs.astuple())
+                        assert tau(v) * n in rng, (v.astuple(), obs.astuple())
 
 
 def test_feasible_v10_range_examples():

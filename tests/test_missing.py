@@ -4,14 +4,7 @@ import pytest
 
 from permci.core import CountVector, ObservedCounts, ValidationError, neyman
 from permci.balanced import fast_interval_balanced
-from permci.missing import (
-    MaskedCounts,
-    MaskedObservations,
-    SubjectRecord,
-    impute_extremes,
-    missing_interval,
-    pad_odd,
-)
+from permci.missing import MaskedCounts, missing_interval, pad_odd
 
 from _oracles import (
     all_observed,
@@ -21,29 +14,31 @@ from _oracles import (
 )
 
 
-def records(*pairs):
-    return MaskedObservations(tuple(SubjectRecord(z, y) for z, y in pairs))
-
-
 def test_impute_no_missing_is_identity():
-    data = records((1, 1), (1, 0), (0, 1), (0, 0))
-    plus, minus = impute_extremes(data)
-    assert plus == minus == ObservedCounts(1, 1, 1, 1)
+    data = MaskedCounts(1, 1, 0, 1, 1, 0)
+    assert data.plus == data.minus == ObservedCounts(1, 1, 1, 1)
 
 
 def test_impute_all_missing():
-    data = records((1, None), (1, None), (0, None), (0, None))
-    plus, minus = impute_extremes(data)
-    assert plus == ObservedCounts(2, 0, 0, 2)
-    assert minus == ObservedCounts(0, 2, 2, 0)
+    data = MaskedCounts(0, 0, 2, 0, 0, 2)
+    assert data.plus == ObservedCounts(2, 0, 0, 2)
+    assert data.minus == ObservedCounts(0, 2, 2, 0)
 
 
 def test_impute_mixed_hand_case():
     # treated: observed 1, missing; control: observed 0, missing
-    data = records((1, 1), (1, None), (0, 0), (0, None))
-    plus, minus = impute_extremes(data)
-    assert plus == ObservedCounts(2, 0, 0, 2)
-    assert minus == ObservedCounts(1, 1, 1, 1)
+    data = MaskedCounts(1, 0, 1, 0, 1, 1)
+    assert data.plus == ObservedCounts(2, 0, 0, 2)
+    assert data.minus == ObservedCounts(1, 1, 1, 1)
+
+
+def test_masked_counts_need_two_subjects():
+    for counts in ((0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)):
+        with pytest.raises(ValidationError, match="at least two subjects"):
+            MaskedCounts(*counts)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        MaskedCounts(2, 0, 0, -1, 1, 0)
+    assert MaskedCounts(0, 0, 1, 0, 0, 1).n == 2
 
 
 def test_interval_without_missingness_matches_complete_data():
@@ -95,17 +90,39 @@ def test_missing_coverage_small_exhaustive():
 
 
 def test_pad_odd_examples():
-    data = records((1, 1), (1, 0), (0, 1))
+    data = MaskedCounts(1, 1, 0, 1, 0, 0)  # treated 1, 0; control 1
     padded = pad_odd(data)
     assert padded.n == 4 and padded.m == 2
-    assert padded.records[-1] == SubjectRecord(0, None)
+    assert padded == MaskedCounts(1, 1, 0, 1, 0, 1)
     with pytest.raises(ValidationError):
         pad_odd(padded)  # already even
-    five = pad_odd(records((1, 1), (1, 0), (1, 1), (0, 1), (0, 0)))  # 3 vs 2: fine
-    assert five.records[-1] == SubjectRecord(0, None)
+    five = pad_odd(MaskedCounts(2, 1, 0, 1, 1, 0))  # 3 vs 2: fine
+    assert five == MaskedCounts(2, 1, 0, 1, 1, 1)
     # groups differing by more than one cannot be balanced by padding
     with pytest.raises(ValidationError):
-        pad_odd(records((1, 1), (1, 0), (1, 1), (1, 0), (0, 1)))
+        pad_odd(MaskedCounts(2, 2, 0, 1, 0, 0))
+
+
+def test_pad_odd_adds_a_missing_outcome_to_the_smaller_group():
+    # treated smaller: 2 vs 3
+    padded = pad_odd(MaskedCounts(1, 0, 1, 1, 1, 1))
+    assert padded == MaskedCounts(1, 0, 2, 1, 1, 1)
+    assert padded.plus.design.balanced and padded.minus.design.balanced
+    # control smaller: 3 vs 2
+    padded = pad_odd(MaskedCounts(0, 2, 1, 0, 0, 2))
+    assert padded == MaskedCounts(0, 2, 1, 0, 0, 3)
+    assert padded.plus.design.balanced and padded.minus.design.balanced
+
+
+def test_pad_odd_rejects_even_input_and_a_gap_of_two():
+    with pytest.raises(ValidationError, match="odd number"):
+        pad_odd(MaskedCounts(1, 1, 0, 1, 1, 0))
+    with pytest.raises(ValidationError, match="odd number"):
+        pad_odd(MaskedCounts(2, 1, 0, 1, 0, 0))  # 3 vs 1: even total
+    with pytest.raises(ValidationError, match="groups of 1 and 4"):
+        pad_odd(MaskedCounts(0, 0, 1, 1, 2, 1))
+    with pytest.raises(ValidationError, match="groups of 5 and 0"):
+        pad_odd(MaskedCounts(2, 2, 1, 0, 0, 0))
 
 
 def test_pad_odd_coverage_enumeration_n5():
@@ -120,14 +137,12 @@ def test_pad_odd_coverage_enumeration_n5():
         subjects = (
             [(1, 1)] * y.v11 + [(1, 0)] * y.v10 + [(0, 1)] * y.v01 + [(0, 0)] * y.v00
         )
-        truth = tau(y).fraction
+        truth = tau(y)
         covered = total = 0
         for treated in itertools.combinations(range(5), 3):
-            recs = []
-            for i, (a, b) in enumerate(subjects):
-                z = 1 if i in treated else 0
-                recs.append(SubjectRecord(z, a if z else b))
-            padded = pad_odd(MaskedObservations(tuple(recs)))
+            ones_t = sum(a for i, (a, _) in enumerate(subjects) if i in treated)
+            ones_c = sum(b for i, (_, b) in enumerate(subjects) if i not in treated)
+            padded = pad_odd(MaskedCounts(ones_t, 3 - ones_t, 0, ones_c, 2 - ones_c, 0))
             iv = missing_interval(alpha, padded).interval
             covered += iv.contains(truth)
             total += 1

@@ -147,6 +147,18 @@ def test_required_k_warns_below_rule_range():
         required_k_balanced(0.1, 8)
 
 
+def test_required_k_warning_names_the_caller():
+    with pytest.warns(UserWarning) as record:
+        required_k_balanced(0.1, 8)
+    assert record[0].filename == __file__
+
+
+def test_required_k_rejects_eps_without_a_finite_k():
+    for eps in (math.nan, math.inf, 1e-200, 0.0, -0.1):
+        with pytest.raises(ValidationError):
+            required_k_balanced(eps, 16)
+
+
 def test_mc_interval_deterministic_and_thread_invariant():
     obs = ObservedCounts(5, 3, 2, 6)
     cfg = McConfig(alpha=0.04, eps=0.01, k=4000, seed=2718)

@@ -1,9 +1,11 @@
 """The benchmark's tracer still sees every layer: each name it wraps exists
-in the package, and the probe ops call every wrapped name.  A rename or a
-refactor that bypasses a wrapped function fails here instead of in a traced
-benchmark run."""
+in the package, the probe ops call every wrapped name, and their outputs
+match the benchmark's reference.  A rename, a refactor that bypasses a
+wrapped function, or a changed result field or count fails here instead of
+in a benchmark run."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -56,3 +58,14 @@ def test_probe_fires_every_hook():
     finally:
         recorder.uninstall()
     assert recorder.silent_hooks() == []
+
+
+def test_probe_outputs_match_the_reference():
+    _, workloads = load_perfbench()
+    with open(PERFBENCH / "reference.json", encoding="utf-8") as fh:
+        recorded = json.load(fh)["probe"]
+    assert len(recorded) == len(workloads.PROBE)
+    for op, entry in zip(workloads.PROBE, recorded):
+        assert {k: v for k, v in entry.items() if k != "expect"} == op
+        out = workloads.execute(permci, op, threads=1)
+        assert workloads.mismatch(out, entry["expect"]) is None, (op, out)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permci.core import ContractError, CountVector, Design, ObservedCounts, tau
+from permci.core import ContractError, CountVector, Design, ObservedCounts, ValidationError, tau
 from permci.baseline import enumerated_interval
 from permci.feasibility import family_vector, feasible_v10_range, is_possible
 from permci.montecarlo import McConfig, substream
@@ -54,7 +54,7 @@ def test_summary_mean_matches_effect():
     v = CountVector(1, 2, 1, 1)
     d = Design(5, 2)
     pmf = exact_pmf(v, d)
-    assert pmf.mean() == tau(v).fraction
+    assert pmf.mean() == tau(v)
 
 
 def test_stepped_split_distribution_chi2():
@@ -100,7 +100,7 @@ def test_line_preserves_effect_and_possibility():
                 base = family_vector(j, rng.lo, s, 7)
                 for v10 in range(rng.lo, rng.hi + 1):
                     point = family_vector(j, v10, s, 7)
-                    assert tau(point).s == s
+                    assert tau(point) == Fraction(s, 7)
                     assert is_possible(point, obs)
 
 
@@ -172,3 +172,9 @@ def test_required_k_unbalanced_values():
     assert ks == sorted(ks)
     es = [required_k_unbalanced(eps, 20) for eps in (0.2, 0.1, 0.05)]
     assert es == sorted(es)
+
+
+def test_required_k_unbalanced_rejects_eps_without_a_finite_k():
+    for eps in (math.nan, math.inf, 1e-200, 0.0, -0.1):
+        with pytest.raises(ValidationError):
+            required_k_unbalanced(eps, 20)
