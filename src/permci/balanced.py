@@ -15,9 +15,13 @@ Two ingredients:
    the monotonicity argument does not reach it, so the ``v10 = 1`` neighbor
    is the next site in scan order.  The scan stops at the first acceptance,
    so the neighbor counts only when its base was rejected.  At most ``n+1``
-   tests decide compatibility (``2(n+1)`` when ``tau0 = 0``).  Sites are
-   decided one at a time, or in blocks of ``2 * threads`` on a thread pool;
-   the tests counted are the same either way.
+   tests decide compatibility (``2(n+1)`` when ``tau0 = 0``).  A float
+   `ExactTester` decides the sites in blocks of `FLOAT_BLOCK`, each block
+   with one vectorized kernel call (`ExactTester.decide_block`); rational
+   testers decide them one at a time as the scan reaches them, and Monte
+   Carlo testers one at a time or in blocks of ``2 * threads`` on a thread
+   pool.  Decisions past the first acceptance are discarded, so the tests
+   counted are the same in every case.
 
 2. A bisection over candidate effects.  The accepted effects form an
    interval containing the point estimate, so the upper endpoint is found by
@@ -47,6 +51,11 @@ from .core import (
 )
 from .exactdist import ExactTester
 from .feasibility import family_vector, feasible_v10_range
+
+#: Sites a float `ExactTester` decides with one kernel call.  The calls'
+#: fixed cost is spread over the block; the sites past an acceptance are
+#: wasted work, which is why the block is not wider.
+FLOAT_BLOCK = 32
 
 
 class TableTester(Protocol):
@@ -116,16 +125,29 @@ def is_compatible_balanced(
     """Decide whether some possible table with effect ``ntau0 / n`` is accepted.
 
     Tests the sites in scan order and accepts at the first accepted table.
-    Without a ``pool`` the sites are decided one at a time as the scan
-    reaches them.  With one, blocks of ``width`` sites are decided
-    concurrently and read in order; decisions past the first acceptance are
-    discarded, so the outcome and the count equal the sequential scan's.
+    A float `ExactTester` decides blocks of `FLOAT_BLOCK` sites, each with
+    one kernel call.  Otherwise, without a ``pool`` the sites are decided
+    one at a time as the scan reaches them; with one, blocks of ``width``
+    sites are decided concurrently.  Decisions are read in scan order and
+    those past the first acceptance are discarded, so the outcome and the
+    count equal the one-at-a-time scan's.
     """
     sites = _sites(ntau0, obs)
-    width, decide = (1, map) if pool is None else (width, pool.map)
+    if isinstance(tester, ExactTester) and tester.mode == "float":
+        width = FLOAT_BLOCK
+
+        def decide(block):
+            return tester.decide_block([v for v, _ in block])
+
+    else:
+        width, each = (1, map) if pool is None else (width, pool.map)
+
+        def decide(block):
+            return each(lambda site: tester.decide(*site), block)
+
     tests = 0
     while block := list(islice(sites, width)):
-        for accepted in decide(lambda site: tester.decide(*site), block):
+        for accepted in decide(block):
             tests += 1
             if accepted:
                 return ScanOutcome(True, tests)

@@ -24,6 +24,10 @@ Two arithmetic modes, both deciding extremeness by the integer `extreme_cut`:
   ``y = x11 + x10 + x01`` is hypergeometric, ``x11`` given ``y`` is
   hypergeometric too, and both extreme tails given ``y`` follow, for every
   ``y``, from cumulative sums of non-negative one-draw steps (`_float_grid`).
+  The kernel computes a block of tables with one set of array operations,
+  one row per table, so its fixed cost of about 40 numpy calls is shared:
+  at n = 280-320 a table costs about 20-25 µs in a block of 32 and
+  70-100 µs alone (2-vCPU host).
   Unequal groups sum the split grid, each cell with its exact 0/1
   extremeness.  Nothing is truncated: the only error is float rounding,
   measured at 5e-15 for n <= 14, 5e-14 at n = 200 and 1.4e-13 at n = 2000,
@@ -37,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -146,21 +151,16 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def _log_comb_row(logfact: np.ndarray, nn: int, pad: int = 0) -> np.ndarray:
-    """``log C(nn, k)`` at index ``k + pad`` for ``k = -pad..nn+pad``; ``-inf``
-    for every ``k`` outside ``[0, nn]``."""
-    row = np.full(nn + 1 + 2 * pad, -np.inf)
-    row[pad : pad + nn + 1] = logfact[nn] - logfact[: nn + 1] - logfact[nn::-1]
-    return row
-
-
 def _split_cells(v: CountVector, d: Design) -> tuple[np.ndarray, np.ndarray]:
     """Flat arrays of statistic numerators and log-probabilities, one per
     treatment split ``(x11, x10, x01, .)`` of ``v``; any design."""
     logfact = _log_factorials(d.n)
     m = d.m
     v11, v10, v01, v00 = v.astuple()
-    r11, r10, r01, r00 = (_log_comb_row(logfact, count) for count in (v11, v10, v01, v00))
+    # log C(count, x) for x = 0..count, per class
+    r11, r10, r01, r00 = (
+        logfact[count] - logfact[: count + 1] - logfact[count::-1] for count in (v11, v10, v01, v00)
+    )
     log_total = logfact[d.n] - logfact[m] - logfact[d.n - m]
     X10, X01 = np.meshgrid(
         np.arange(min(v10, m) + 1, dtype=np.int64),
@@ -178,56 +178,119 @@ def _split_cells(v: CountVector, d: Design) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nums_parts), np.concatenate(logp_parts)
 
 
-def _float_grid(v: CountVector, obs: ObservedCounts) -> tuple[np.ndarray, np.ndarray]:
-    """Terms of the float p-value ``sum(weights * probs) / sum(weights)``.
+@functools.lru_cache(maxsize=8)
+def _log_factorial_windows(n: int) -> tuple[int, tuple[np.ndarray, ...]]:
+    """``(M, (up, up_neg, down, down_neg))``: read-only windows of
+    ``log(x!)`` for the equal-groups kernel, ``up[x + M, j] = log((x + j)!)``
+    and ``down[M - x, j] = log((x - j)!)`` for ``|x| <= 4n + 8`` and
+    ``j < 2n + 4``.
 
-    Unequal groups: one term per split cell, its probability as weight and its
-    0/1 extremeness as prob.  Equal groups: one term per ``y = x11 + x10 +
-    x01``, the treated count drawn from the pool of the classes (1,1), (1,0)
-    and (0,1), with its hypergeometric weight and the conditional
-    probability of an extreme split given ``y``.  When every split is
-    extreme the single term ``(1, 1)`` gives exactly 1.
+    ``up`` and ``down`` hold ``+inf`` at negative arguments, so
+    ``log(nn!) - log(x!) - log((nn - x)!)`` is ``log C(nn, x)`` and ``-inf``
+    for every ``x`` outside ``[0, nn]``, with no masks; the ``_neg`` windows
+    hold ``-inf`` there.
     """
-    d = obs.design
-    logfact = _log_factorials(d.n)
-    lo, hi = extreme_cut(v, obs)
-    if hi - lo <= 1:  # no integer numerator lies strictly between the cuts
-        return np.ones(1), np.ones(1)
-    if not d.balanced:
-        nums, logp = _split_cells(v, d)
-        return np.exp(logp), ((nums <= lo) | (nums >= hi)).astype(np.float64)
-    # Equal groups: num = m*t with t = x11 + y - (v11 + v01), so a split is
-    # extreme exactly when x11 + y <= a or x11 + y >= b.  Given y, x11 = X_y
-    # is hypergeometric (k = v11 successes among N1 = v11 + v10 + v01, y
+    _log_factorials(n)  # the capacity check
+    width = 2 * n + 4
+    half = 4 * n + 8 + width
+    logfact = np.array([math.lgamma(k + 1) for k in range(half + 1)])
+    rows = []
+    for fill in (np.inf, -np.inf):
+        pad = np.full(half, fill)
+        rows += [np.concatenate((pad, logfact)), np.concatenate((logfact[::-1], pad))]
+    up, down, up_neg, down_neg = (np.lib.stride_tricks.sliding_window_view(r, width) for r in rows)
+    return half, (up, up_neg, down, down_neg)
+
+
+def _tail_args(M: int, k: int, c: int, n1: int, t0: int, a1: int) -> tuple[int, ...]:
+    """Rows of the log-factorial windows that `_float_grid` reads for the
+    steps ``f(t, a1 - t) + g(t, a1 + 1 - t)`` at ``t = t0, t0 + 1, ...``."""
+    return (
+        M + t0 - 1,  # up_neg: log((t-1)!), then log(t!)
+        M + k - a1 - 1 + t0,  # up: log((k-z)!) for g, then for f
+        M + 2 * t0 - a1 - 1,  # up, every other column: log((t-z)!) for g
+        M + 2 * t0 - a1,  # ... and for f
+        M - c - a1 - 1 + 2 * t0,  # down, every other column: log((c-t+z)!) for g
+        M - c - a1 + 2 * t0,  # ... and for f
+        M - a1 + t0,  # down: log((z-1)!) for g, log(z!) for f
+        M - n1 + t0,  # down_neg: log((N1-t)!), -inf past N1
+    )
+
+
+def _float_grid(tables: Sequence[CountVector], obs: ObservedCounts) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of the equal-groups float p-values of a block of tables, one row
+    per table: p-value ``i`` is ``sum(hits[i]) / sum(weights[i])``.
+
+    One term per ``y = x11 + x10 + x01``, the treated count drawn from the
+    pool of the classes (1,1), (1,0) and (0,1), with its hypergeometric
+    weight; its hit is the weight times the conditional probability of an
+    extreme split given ``y``.  Every row is computed by the same array
+    operations, whatever the block, and padded with exact zeros to the
+    width of the block.
+    """
+    # num = m*t with t = x11 + y - (v11 + v01), so a split is extreme exactly
+    # when x11 + y <= a or x11 + y >= b.  Given y, x11 = X_y is
+    # hypergeometric (k = v11 successes among N1 = v11 + v10 + v01, y
     # draws).  One more draw moves the two tails by non-negative steps:
     #   P(X_{y-1} <= a-y+1) - P(X_y <= a-y) = f(y, a-y+1) + g(y, a-y+2)
     #   P(X_y >= b-y) - P(X_{y-1} >= b-y+1) = f(y, b-y) + g(y, b-y+1)
     # with f(y, z) = P(X_y = z) and g(y, z) = P(X_{y-1} = z-1, draw y is a
-    # success) = f(y, z) * z / y.  The lower tail is certain at y = N1 (X = k),
-    # the upper tail at y = 0 (X = 0), so each is a cumulative sum of
-    # non-negative steps from its certain end: no cancellation anywhere.
-    m = d.m
-    k, c, v00 = v.v11, v.v10 + v.v01, v.v00
-    N1 = k + c
-    # Cuts beyond the range [0, k + N1] of x11 + y select the same splits
-    # as the range's ends, and clamping them bounds every index below.
-    a = min(max(lo // m + k + v.v01, -1), k + N1)
-    b = min(max(-(-hi // m) + k + v.v01, 0), k + N1 + 1)
-    pad = 2 * N1 + 2
-    row_k, row_c = (_log_comb_row(logfact, count, pad) for count in (k, c))
-    row_n = _log_comb_row(logfact, N1)
-    y = np.arange(1, N1 + 1, dtype=np.int64)
-    z = np.array([[a + 1], [a + 2], [b], [b + 1]]) - y
-    f = np.exp(row_k[z + pad] + row_c[y - z + pad] - row_n[y])
-    lower = np.zeros(N1 + 1)
-    lower[:-1] = (f[0] + f[1] * z[1] / y)[::-1].cumsum()[::-1]
-    lower += k <= a - N1
-    upper = np.zeros(N1 + 1)
-    upper[1:] = (f[2] + f[3] * z[3] / y).cumsum()
-    upper += b <= 0
-    ys = np.arange(max(0, m - v00), min(N1, m) + 1)
-    log_wt = row_n[ys] + _log_comb_row(logfact, v00)[m - ys]
-    return np.exp(log_wt - log_wt.max()), lower[ys] + upper[ys]
+    # success) = (k / N1) C(k-1, z-1) C(c, y-z) / C(N1-1, y-1), c = N1 - k:
+    # both are exp(log(k! c! / N1!) - sums of log-factorials).  The lower
+    # tail is certain at y = N1 (X = k) and the upper tail is 0 at y = 0
+    # (b >= 1 below), so each is a cumulative sum of non-negative steps from
+    # its certain end: no cancellation anywhere.  Only y in [y_lo, y_hi] =
+    # [max(0, m - v00), min(N1, m)] has weight.
+    n, m = obs.n, obs.m
+    M, (up, up_neg, down, down_neg) = _log_factorial_windows(n)
+    lgamma = math.lgamma
+    rows, log_const = [], []
+    for v in tables:
+        lo, hi = extreme_cut(v, obs)
+        k, c, v00 = v.v11, v.v10 + v.v01, v.v00
+        n1 = k + c
+        # Cuts beyond the range [0, k + N1] of x11 + y select the same
+        # splits as the range's ends, and clamping them bounds every index.
+        a = min(max(lo // m + k + v.v01, -1), k + n1)
+        b = min(-(-hi // m) + k + v.v01, k + n1 + 1)
+        if hi - lo <= 1 or b <= 0:  # every split is extreme
+            a, b = k + n1, k + n1 + 1
+        rows.append((k, c, v00, n1, a, b, max(0, m - v00), min(n1, m)))
+        log_const.append(lgamma(k + 1) + lgamma(c + 1) - lgamma(n1 + 1))
+    terms = max(y_hi - y_lo for *_, y_lo, y_hi in rows) + 1
+    # Upper steps are 0 before t = max(b - k, b / 2), since X_t <= min(k, t):
+    # each upper tail starts `before` steps ahead of its y_lo.
+    before = max(0, *(y_lo - max(b - k, (b + 1) // 2) for k, _, _, _, _, b, y_lo, _ in rows))
+    width = max(before + terms, *(n1 - y_lo + 1 for _, _, _, n1, _, _, y_lo, _ in rows))
+    args = np.array(
+        [_tail_args(M, k, c, n1, y_lo - before, b) for k, c, _, n1, _, b, y_lo, _ in rows]
+        + [_tail_args(M, k, c, n1, y_lo + 1, a + 1) for k, c, _, n1, a, _, y_lo, _ in rows]
+    )
+    log_const = np.array(log_const * 2)[:, None]
+    ratio = up[args[:, 1], : width + 1] - up_neg[args[:, 0], : width + 1]
+    shared = log_const + down_neg[args[:, 7], :width] - down[args[:, 6], :width]
+    pairs = [up[args[:, i], : 2 * width : 2] + down[args[:, i + 2], : 2 * width : 2] for i in (2, 3)]
+    steps = np.exp(shared - (ratio[:, :-1] + pairs[0])) + np.exp(shared - (ratio[:, 1:] + pairs[1]))
+    count = len(rows)
+    upper = steps[:count].cumsum(axis=1)[:, before : before + terms]
+    lower = steps[count:, ::-1].cumsum(axis=1)[:, ::-1][:, :terms]
+    # Weights C(N1, y) C(v00, m - y) at y = y_lo + q: four log-factorials.
+    # The lower tail's certain end is added last.
+    at = np.array(
+        [(M + y_lo, M + v00 - m + y_lo, M - n1 + y_lo, M - m + y_lo, k <= a - n1)
+         for k, _, v00, n1, a, _, y_lo, _ in rows]
+    )
+    log_den = up[at[:, :2], :terms].sum(axis=1) + down[at[:, 2:4], :terms].sum(axis=1)
+    weights = np.exp(log_den.min(axis=1, keepdims=True) - log_den)
+    return weights, weights * ((lower + at[:, 4:]) + upper)
+
+
+def _float_pvalues(tables: Sequence[CountVector], obs: ObservedCounts) -> np.ndarray:
+    """Float p-values of a block of tables under equal groups (`_float_grid`).
+    Each row is summed in order, so the zeros that pad it change no bit."""
+    weights, hits = _float_grid(tables, obs)
+    totals = np.concatenate((hits, weights)).cumsum(axis=1)[:, -1]
+    return totals[: len(tables)] / totals[len(tables) :]
 
 
 def exact_pvalue(
@@ -241,15 +304,21 @@ def exact_pvalue(
     """
     if v.n != obs.n:
         raise ValidationError("table and observed counts describe different n")
+    d = obs.design
     if mode == "rational":
-        d = obs.design
         lo, hi = extreme_cut(v, obs)
         weights = split_weights(v, d)
         hit = sum(w for num, w in weights.items() if num <= lo or num >= hi)
         return Fraction(hit, math.comb(d.n, d.m))
     if mode == "float":
-        weights, probs = _float_grid(v, obs)
-        return float((weights * probs).sum() / weights.sum())
+        if d.balanced:
+            return float(_float_pvalues([v], obs)[0])
+        lo, hi = extreme_cut(v, obs)
+        if hi - lo <= 1:  # no integer numerator lies strictly between the cuts
+            return 1.0
+        nums, logp = _split_cells(v, d)
+        weights = np.exp(logp)
+        return float((weights * ((nums <= lo) | (nums >= hi))).sum() / weights.sum())
     raise ValidationError(f"unknown mode {mode!r}")
 
 
@@ -258,11 +327,10 @@ class ExactTester:
 
     In rational mode the comparison ``p >= alpha`` is exact.  In float mode
     p-values within FLOAT_P_TOL of alpha are accepted, which can only widen
-    intervals and therefore cannot hurt coverage; a float decision costs
-    O(n) array work for equal groups and a split grid for unequal groups
-    (`_float_grid`).  Every decision computes
-    its p-value afresh; the tester holds no mutable state, so one instance
-    may decide tables on several threads at once.
+    intervals and therefore cannot hurt coverage; for equal groups
+    `decide_block` decides a block of tables with one `_float_grid` call.
+    Every decision computes its p-value afresh; the tester holds no mutable
+    state, so one instance may decide tables on several threads at once.
     """
 
     def __init__(self, obs: ObservedCounts, alpha: float | Fraction, mode: str = "rational"):
@@ -276,3 +344,10 @@ class ExactTester:
         if self.mode == "rational":
             return p >= self.alpha
         return p >= self._alpha_float - FLOAT_P_TOL
+
+    def decide_block(self, tables: Sequence[CountVector]) -> list[bool]:
+        """Decisions on several tables of an equal-groups design, in order;
+        in float mode from one kernel call, the same as `decide` on each."""
+        if self.mode != "float" or not self.obs.design.balanced:
+            return [self.decide(v) for v in tables]
+        return (_float_pvalues(tables, self.obs) >= self._alpha_float - FLOAT_P_TOL).tolist()

@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    CapacityError,
     CountVector,
     Design,
     Interval,
@@ -44,6 +45,12 @@ from .core import (
 )
 from .balanced import fast_interval_balanced
 from .exactdist import extreme_cut, split_num
+
+
+#: Largest K a Monte Carlo test may draw.  `sample_splits` holds four int64
+#: arrays of K split counts, 32 bytes a sample, so this caps those arrays at
+#: 256 MiB; the K rules give about 200,000 at the sizes in use.
+MC_MAX_K = 2**23
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,17 @@ class McConfig:
             raise ValidationError(f"need 0 < eps < alpha, got eps={self.eps}, alpha={self.alpha}")
         if self.k < 1:
             raise ValidationError("k must be a positive integer")
+        if self.k > MC_MAX_K:
+            # Both K rules grow faster than eps^-2 as eps falls, so scaling
+            # eps by sqrt(k / MC_MAX_K), rounded up, brings the rule's K under
+            # the cap.
+            need = self.eps * math.sqrt(self.k / MC_MAX_K)
+            scale = 10.0 ** (1 - math.floor(math.log10(need)))
+            raise CapacityError(
+                f"k={self.k} samples per test need {32 * self.k / 2**30:.1f} GiB of sample "
+                f"arrays, over the {32 * MC_MAX_K // 2**20} MiB limit (k <= {MC_MAX_K}); "
+                f"use eps >= {math.ceil(need * scale) / scale:g} or a smaller k"
+            )
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from permci.balanced import (
     fast_interval_balanced,
     is_compatible_balanced,
 )
+from permci import exactdist
+from permci.api import interval
 from permci.exactdist import ExactTester, exact_pvalue
 
 from _oracles import all_count_vectors, all_observed
@@ -172,3 +175,31 @@ def test_exact_search_thread_invariant(counts, mode):
     two = fast_interval_balanced(0.05, obs, tester=tester, threads=2)
     assert two.interval == one.interval and not one.interval.is_empty
     assert two.tests == one.tests
+
+
+def test_float_block_scan_matches_the_rational_scan():
+    # Float sites are decided a block at a time; the interval and the count
+    # equal the rational scan's, which decides one site at a time.
+    rng = random.Random(20)
+    for _ in range(12):
+        m = rng.randrange(7, 21)
+        n11, n01 = rng.randrange(m + 1), rng.randrange(m + 1)
+        obs = ObservedCounts(n11, m - n11, n01, m - n01)
+        for alpha in (0.01, 0.05, 0.2):
+            want = fast_interval_balanced(alpha, obs, tester=ExactTester(obs, alpha))
+            for threads in (1, 2):
+                got = fast_interval_balanced(alpha, obs, ExactTester(obs, alpha, "float"), threads)
+                assert (got.interval, got.tests) == (want.interval, want.tests), (obs, alpha, threads)
+
+
+def test_rational_scan_stays_lazy(monkeypatch):
+    # One rational p-value per counted test: none is computed past an acceptance.
+    calls = []
+    split_weights = exactdist.split_weights
+    monkeypatch.setattr(exactdist, "split_weights", lambda v, d: calls.append(v) or split_weights(v, d))
+    for counts in [(2, 6, 8, 0), (5, 3, 3, 5), (9, 3, 4, 8)]:
+        obs = ObservedCounts(*counts)
+        for run in (lambda: fast_interval_balanced(0.05, obs), lambda: interval(obs, 0.05)):
+            calls.clear()
+            tests = run().tests
+            assert len(calls) == tests > 0

@@ -5,6 +5,7 @@ import pytest
 from permci.cli import main, read_subject_file
 from permci.core import ObservedCounts
 from permci.missing import MaskedCounts
+from permci import montecarlo, unbalanced
 from permci.montecarlo import McConfig
 from permci.unbalanced import unbalanced_interval
 
@@ -205,6 +206,20 @@ def test_mc_eps_without_a_finite_k_is_a_usage_error(capsys):
         code, out, err = run_cli(capsys, "mc", "--counts", counts, "--eps", "1e-200", "--seed", "1")
         assert (code, out) == (2, "")
         assert err.startswith("usage error: eps=1e-200 ")
+
+
+def test_mc_k_over_the_sample_cap_is_an_analysis_error(capsys, monkeypatch):
+    # The rule picks K = 1,574,921,581, whose split arrays would take 47 GiB;
+    # the cap refuses it before anything is sampled.
+    def no_sampling(*args):
+        raise AssertionError("sampled past the cap")
+
+    monkeypatch.setattr(montecarlo, "sample_splits", no_sampling)
+    monkeypatch.setattr(unbalanced, "sample_splits", no_sampling)
+    code, out, err = run_cli(capsys, "mc", "--counts", "5,5,5,5", "--eps", "1e-4", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("analysis error: k=1574921581 samples per test need 46.9 GiB")
+    assert "use eps >= 0.0014 or a smaller k" in err
 
 
 def test_validate_is_not_a_subcommand(capsys):

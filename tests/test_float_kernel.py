@@ -9,10 +9,12 @@ shown: the rational oracle's cost grows as m^2, about 10 s per table at
 n = 2000 on a 2-vCPU host.
 """
 
+import random
+
 import pytest
 
 from permci.core import CountVector, ObservedCounts
-from permci.exactdist import FLOAT_P_TOL, _float_grid, exact_pvalue
+from permci.exactdist import FLOAT_P_TOL, _float_grid, _float_pvalues, exact_pvalue
 
 from _oracles import all_count_vectors
 
@@ -31,7 +33,7 @@ def test_every_table_and_observation(n):
             for v in tables:
                 f, r = float_and_rational(v, obs)
                 assert abs(f - float(r)) < 1e-13, (obs, v.astuple(), f, r)
-                assert len(_float_grid(v, obs)[0]) <= n + 1
+                assert _float_grid([v], obs)[0].shape[1] <= n + 1
 
 
 @pytest.mark.parametrize(
@@ -62,12 +64,37 @@ def test_degenerate_tables(obs, v, expect):
         assert abs(f - float(r)) < 1e-13
 
 
+@pytest.mark.parametrize("counts", [(2, 1, 1, 2), (3, 1, 1, 3), (4, 0, 0, 4), (70, 80, 56, 94)])
+def test_a_pvalue_does_not_depend_on_its_block(counts):
+    """Each table's p-value alone equals, to the last bit, its value at any
+    place in blocks of several widths.  For n <= 8 the tables are all of
+    them, the degenerate ones above included; for n = 300 they are tables
+    of every kind of support, drawn at random."""
+    obs = ObservedCounts(*counts)
+    n = obs.n
+    rng = random.Random(n)
+    if n <= 8:
+        tables = list(all_count_vectors(n))
+    else:
+        tables = []
+        for _ in range(200):
+            cuts = sorted(rng.choices(range(n + 1), k=3))
+            tables.append(CountVector(cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], n - cuts[2]))
+    alone = [exact_pvalue(v, obs, "float") for v in tables]
+    for width in (2, 5, 32, len(tables)):
+        order = rng.sample(range(len(tables)), len(tables))
+        for start in range(0, len(order), width):
+            block = order[start : start + width]
+            got = _float_pvalues([tables[i] for i in block], obs)
+            assert got.tolist() == [alone[i] for i in block], (width, [tables[i] for i in block])
+
+
 def test_terms_are_linear_in_n():
     for n in (100, 1000, 5000):
         m = n // 2
         obs = ObservedCounts(3 * n // 10, m - 3 * n // 10, n // 4, m - n // 4)
         for v in (CountVector(n // 3, n // 6, n // 6, n - 2 * (n // 3)), CountVector(0, m, m, 0)):
-            assert len(_float_grid(v, obs)[0]) <= n + 1
+            assert _float_grid([v], obs)[0].shape[1] <= n + 1
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from permci.core import CountVector, Design, ObservedCounts, ValidationError
+from permci.core import CapacityError, CountVector, Design, ObservedCounts, ValidationError
 from permci.balanced import fast_interval_balanced
 from permci.exactdist import exact_pvalue
 from permci.montecarlo import (
+    MC_MAX_K,
     McConfig,
     mc_interval_balanced,
     mc_test,
@@ -15,6 +16,7 @@ from permci.montecarlo import (
     sample_splits,
     substream,
 )
+from permci.unbalanced import required_k_unbalanced
 
 from _oracles import chisq_gof, sample_split
 
@@ -29,6 +31,18 @@ def test_config_validation():
         McConfig(alpha=0.05, eps=0.01, k=0, seed=0)
     with pytest.raises(ValidationError):
         McConfig(alpha=0.05, eps=0.01, k=10, seed=-1)
+
+
+def test_k_cap_sits_far_above_the_k_in_use():
+    # c13's balanced K at n = 10^4 and general MC's at n = 100, with margin.
+    assert 40 * max(required_k_balanced(0.01, 10_000), required_k_unbalanced(0.01, 100)) < MC_MAX_K
+    McConfig(alpha=0.04, eps=0.01, k=MC_MAX_K, seed=0)
+    for rule in (required_k_balanced, required_k_unbalanced):
+        with pytest.raises(CapacityError, match=r"use eps >= \S+ or a smaller k") as exc:
+            McConfig(alpha=0.04, eps=0.001, k=rule(0.001, 100), seed=0)
+        # The eps the error names brings the rule's K under the cap.
+        eps = float(exc.value.args[0].rsplit("eps >= ", 1)[1].split()[0])
+        assert 0.001 < eps and rule(eps, 100) <= MC_MAX_K
 
 
 def test_accept_count_matches_exact_rational_rule():
