@@ -15,13 +15,14 @@ Two ingredients:
    the monotonicity argument does not reach it, so the ``v10 = 1`` neighbor
    is the next site in scan order.  The scan stops at the first acceptance,
    so the neighbor counts only when its base was rejected.  At most ``n+1``
-   tests decide compatibility (``2(n+1)`` when ``tau0 = 0``).  A float
-   `ExactTester` decides the sites in blocks of `FLOAT_BLOCK`, each block
-   with one vectorized kernel call (`ExactTester.decide_block`); rational
-   testers decide them one at a time as the scan reaches them, and Monte
-   Carlo testers one at a time or in blocks of ``2 * threads`` on a thread
-   pool.  Decisions past the first acceptance are discarded, so the tests
-   counted are the same in every case.
+   tests decide compatibility (``2(n+1)`` when ``tau0 = 0``).  An effect's
+   sites are one int64 array from one feasibility pass (`_sites`).  A float
+   `ExactTester` decides slices of `float_block(n)` of them, each with one
+   kernel call (`ExactTester.decide_block`); rational testers decide them
+   one at a time as the scan reaches them, and Monte Carlo testers one at a
+   time or in blocks of ``2 * threads`` on a thread pool.  Decisions past
+   the first acceptance are discarded, so the tests counted are the same in
+   every case.
 
 2. A bisection over candidate effects.  The accepted effects form an
    interval containing the point estimate, so the upper endpoint is found by
@@ -38,8 +39,10 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterator, Protocol
+from itertools import islice, starmap
+from typing import Callable, Protocol
+
+import numpy as np
 
 from .core import (
     CountVector,
@@ -50,12 +53,15 @@ from .core import (
     c_set,
 )
 from .exactdist import ExactTester
-from .feasibility import family_vector, feasible_v10_range
+from .feasibility import feasible_rows
 
-#: Sites a float `ExactTester` decides with one kernel call.  The calls'
-#: fixed cost is spread over the block; the sites past an acceptance are
-#: wasted work, which is why the block is not wider.
-FLOAT_BLOCK = 32
+
+def float_block(n: int) -> int:
+    """Sites a float `ExactTester` decides with one kernel call: 32, or fewer
+    where the block's ``(2B, n/2 + 1)`` float64 temporaries would pass 128 KiB
+    (n >= 512), past which a block cost more per table (n = 1000-3000, 2-vCPU
+    host).  Sites past an acceptance are wasted, so the block is no wider."""
+    return max(1, min(32, 8192 // (n // 2 + 1)))
 
 
 class TableTester(Protocol):
@@ -97,22 +103,22 @@ class ScanOutcome:
     tests: int
 
 
-def _sites(ntau0: int, obs: ObservedCounts) -> Iterator[tuple[CountVector, tuple[int, int, int]]]:
-    """Test sites of one effect in scan order, as ``(table, key)`` pairs.
+def _sites(ntau0: int, obs: ObservedCounts) -> tuple[np.ndarray, np.ndarray]:
+    """Test sites of one effect in scan order: a ``(S, 4)`` int64 array of
+    tables and a ``(S, 3)`` one of their keys ``(ntau0, j, variant)``.
 
     Per ``j`` ascending: the smallest feasible ``v10``, then the ``v10 = 1``
-    neighbor when that table has no contrast subjects.  Feasibility is
-    computed per ``j`` only as the scan reaches it.
+    neighbor when that table has no contrast subjects.  Feasibility comes
+    from one array pass over the effect's rows (`feasible_rows`).
     """
-    n = obs.n
-    for j in range(n + 1):
-        rng = feasible_v10_range(j, ntau0, obs)
-        if rng is None:
-            continue
-        v = family_vector(j, rng.lo, ntau0, n)
-        yield v, (ntau0, j, 0)
-        if v.v10 == 0 and v.v01 == 0 and 1 in rng:
-            yield family_vector(j, 1, ntau0, n), (ntau0, j, 1)
+    j, v10, hi = feasible_rows(ntau0, obs)
+    variant = np.zeros(len(j), np.int64)
+    if ntau0 == 0:  # the only effect whose tables can have v10 = v01 = 0
+        reps = 1 + ((v10 == 0) & (hi >= 1))
+        variant = np.arange(reps.sum()) - np.repeat(reps.cumsum() - reps, reps)
+        j, v10 = np.repeat(j, reps), np.repeat(v10, reps) + variant
+    tables = np.array((j - v10, v10, v10 - ntau0, obs.n + ntau0 - j - v10)).T
+    return tables, np.array((np.full_like(j, ntau0), j, variant)).T
 
 
 def is_compatible_balanced(
@@ -125,29 +131,27 @@ def is_compatible_balanced(
     """Decide whether some possible table with effect ``ntau0 / n`` is accepted.
 
     Tests the sites in scan order and accepts at the first accepted table.
-    A float `ExactTester` decides blocks of `FLOAT_BLOCK` sites, each with
-    one kernel call.  Otherwise, without a ``pool`` the sites are decided
-    one at a time as the scan reaches them; with one, blocks of ``width``
-    sites are decided concurrently.  Decisions are read in scan order and
-    those past the first acceptance are discarded, so the outcome and the
-    count equal the one-at-a-time scan's.
+    A float `ExactTester` decides slices of `float_block(n)` sites, each
+    with one kernel call.  Otherwise, without a ``pool`` the sites are
+    decided one at a time as the scan reaches them; with one, blocks of
+    ``width`` sites are decided concurrently.  Decisions are read in scan
+    order and those past the first acceptance are discarded, so the outcome
+    and the count equal the one-at-a-time scan's.
     """
-    sites = _sites(ntau0, obs)
+    tables, keys = _sites(ntau0, obs)
     if isinstance(tester, ExactTester) and tester.mode == "float":
-        width = FLOAT_BLOCK
+        width = float_block(obs.n)
+        for start in range(0, len(tables), width):
+            accepted = np.flatnonzero(tester.decide_block(tables[start : start + width]))
+            if accepted.size:
+                return ScanOutcome(True, start + int(accepted[0]) + 1)
+        return ScanOutcome(False, len(tables))
 
-        def decide(block):
-            return tester.decide_block([v for v, _ in block])
-
-    else:
-        width, each = (1, map) if pool is None else (width, pool.map)
-
-        def decide(block):
-            return each(lambda site: tester.decide(*site), block)
-
+    sites = zip(starmap(CountVector, tables.tolist()), map(tuple, keys.tolist()))
+    width, each = (1, map) if pool is None else (width, pool.map)
     tests = 0
     while block := list(islice(sites, width)):
-        for accepted in decide(block):
+        for accepted in each(lambda site: tester.decide(*site), block):
             tests += 1
             if accepted:
                 return ScanOutcome(True, tests)

@@ -24,10 +24,10 @@ Two arithmetic modes, both deciding extremeness by the integer `extreme_cut`:
   ``y = x11 + x10 + x01`` is hypergeometric, ``x11`` given ``y`` is
   hypergeometric too, and both extreme tails given ``y`` follow, for every
   ``y``, from cumulative sums of non-negative one-draw steps (`_float_grid`).
-  The kernel computes a block of tables with one set of array operations,
-  one row per table, so its fixed cost of about 40 numpy calls is shared:
-  at n = 280-320 a table costs about 20-25 µs in a block of 32 and
-  70-100 µs alone (2-vCPU host).
+  The kernel takes a ``(B, 4)`` int64 array of tables and computes every
+  row, its set-up included, with one set of array operations, so its fixed
+  cost of about 130 numpy calls is shared: at n = 280-320 a table costs
+  about 18-30 µs in a block of 32 and 225-260 µs alone (2-vCPU host).
   Unequal groups sum the split grid, each cell with its exact 0/1
   extremeness.  Nothing is truncated: the only error is float rounding,
   measured at 5e-15 for n <= 14, 5e-14 at n = 200 and 1.4e-13 at n = 2000,
@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -75,9 +74,10 @@ def split_num(v: CountVector, d: Design, x11, x10, x01):
     return diff_num(x11 + x10, (v.v11 - x11) + (v.v01 - x01), d.m, d.controls)
 
 
-def extreme_cut(v: CountVector, obs: ObservedCounts) -> tuple[int, int]:
+def extreme_cut(v: CountVector | np.ndarray, obs: ObservedCounts) -> tuple:
     """The extremeness rule of the two-sided test for table ``v``, as an
-    integer cut ``(lo, hi)`` on split numerators.
+    integer cut ``(lo, hi)`` on split numerators; for a ``(B, 4)`` int64
+    array of tables, two int64 columns (exact for n <= `FLOAT_MODE_MAX_N`).
 
     A split is at least as extreme as the observation when
     ``|T - tau(v)| >= |T_obs - tau(v)|``, i.e. ``gap <= |num*n - s*D|`` with
@@ -85,9 +85,10 @@ def extreme_cut(v: CountVector, obs: ObservedCounts) -> tuple[int, int]:
     exactly when ``num <= lo = floor((s*D - gap)/n)`` or
     ``num >= hi = ceil((s*D + gap)/n)``.  With ``gap = 0`` every split is extreme.
     """
+    s = v.v10 - v.v01 if isinstance(v, CountVector) else v[:, 1] - v[:, 2]
     n, m = obs.n, obs.m
     u = n - m
-    center = (v.v10 - v.v01) * m * u
+    center = s * m * u
     gap = abs(diff_num(obs.n11, obs.n01, m, u) * n - center)
     return (center - gap) // n, -((-center - gap) // n)
 
@@ -202,24 +203,27 @@ def _log_factorial_windows(n: int) -> tuple[int, tuple[np.ndarray, ...]]:
     return half, (up, up_neg, down, down_neg)
 
 
-def _tail_args(M: int, k: int, c: int, n1: int, t0: int, a1: int) -> tuple[int, ...]:
+def _tail_args(M: int, k, c, n1, t0, a1) -> tuple[np.ndarray, ...]:
     """Rows of the log-factorial windows that `_float_grid` reads for the
-    steps ``f(t, a1 - t) + g(t, a1 + 1 - t)`` at ``t = t0, t0 + 1, ...``."""
+    steps ``f(t, a1 - t) + g(t, a1 + 1 - t)`` at ``t = t0, t0 + 1, ...``,
+    one int64 column per argument, one entry per table."""
+    twice = 2 * t0 - a1
     return (
         M + t0 - 1,  # up_neg: log((t-1)!), then log(t!)
         M + k - a1 - 1 + t0,  # up: log((k-z)!) for g, then for f
-        M + 2 * t0 - a1 - 1,  # up, every other column: log((t-z)!) for g
-        M + 2 * t0 - a1,  # ... and for f
-        M - c - a1 - 1 + 2 * t0,  # down, every other column: log((c-t+z)!) for g
-        M - c - a1 + 2 * t0,  # ... and for f
+        M + twice - 1,  # up, every other column: log((t-z)!) for g
+        M + twice,  # ... and for f
+        M - c + twice - 1,  # down, every other column: log((c-t+z)!) for g
+        M - c + twice,  # ... and for f
         M - a1 + t0,  # down: log((z-1)!) for g, log(z!) for f
         M - n1 + t0,  # down_neg: log((N1-t)!), -inf past N1
     )
 
 
-def _float_grid(tables: Sequence[CountVector], obs: ObservedCounts) -> tuple[np.ndarray, np.ndarray]:
-    """Terms of the equal-groups float p-values of a block of tables, one row
-    per table: p-value ``i`` is ``sum(hits[i]) / sum(weights[i])``.
+def _float_grid(tables: np.ndarray, obs: ObservedCounts) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of the equal-groups float p-values of a ``(B, 4)`` int64 array
+    of tables, one row per table: p-value ``i`` is
+    ``sum(hits[i]) / sum(weights[i])``.
 
     One term per ``y = x11 + x10 + x01``, the treated count drawn from the
     pool of the classes (1,1), (1,0) and (0,1), with its hypergeometric
@@ -243,51 +247,48 @@ def _float_grid(tables: Sequence[CountVector], obs: ObservedCounts) -> tuple[np.
     # [max(0, m - v00), min(N1, m)] has weight.
     n, m = obs.n, obs.m
     M, (up, up_neg, down, down_neg) = _log_factorial_windows(n)
-    lgamma = math.lgamma
-    rows, log_const = [], []
-    for v in tables:
-        lo, hi = extreme_cut(v, obs)
-        k, c, v00 = v.v11, v.v10 + v.v01, v.v00
-        n1 = k + c
-        # Cuts beyond the range [0, k + N1] of x11 + y select the same
-        # splits as the range's ends, and clamping them bounds every index.
-        a = min(max(lo // m + k + v.v01, -1), k + n1)
-        b = min(-(-hi // m) + k + v.v01, k + n1 + 1)
-        if hi - lo <= 1 or b <= 0:  # every split is extreme
-            a, b = k + n1, k + n1 + 1
-        rows.append((k, c, v00, n1, a, b, max(0, m - v00), min(n1, m)))
-        log_const.append(lgamma(k + 1) + lgamma(c + 1) - lgamma(n1 + 1))
-    terms = max(y_hi - y_lo for *_, y_lo, y_hi in rows) + 1
+    k, v10, v01, v00 = tables.T
+    c = v10 + v01
+    n1 = k + c
+    lo, hi = extreme_cut(tables, obs)
+    # Cuts beyond the range [0, k + N1] of x11 + y select the same splits
+    # as the range's ends, and clamping them bounds every index.
+    top = k + n1
+    a = np.minimum(np.maximum(lo // m + k + v01, -1), top)
+    b = np.minimum(-(-hi // m) + k + v01, top + 1)
+    every = (hi - lo <= 1) | (b <= 0)  # every split is extreme
+    a, b = np.where(every, top, a), np.where(every, top + 1, b)
+    y_lo, y_hi = np.maximum(0, m - v00), np.minimum(n1, m)
+    terms = int((y_hi - y_lo).max()) + 1
     # Upper steps are 0 before t = max(b - k, b / 2), since X_t <= min(k, t):
     # each upper tail starts `before` steps ahead of its y_lo.
-    before = max(0, *(y_lo - max(b - k, (b + 1) // 2) for k, _, _, _, _, b, y_lo, _ in rows))
-    width = max(before + terms, *(n1 - y_lo + 1 for _, _, _, n1, _, _, y_lo, _ in rows))
-    args = np.array(
-        [_tail_args(M, k, c, n1, y_lo - before, b) for k, c, _, n1, _, b, y_lo, _ in rows]
-        + [_tail_args(M, k, c, n1, y_lo + 1, a + 1) for k, c, _, n1, a, _, y_lo, _ in rows]
-    )
-    log_const = np.array(log_const * 2)[:, None]
-    ratio = up[args[:, 1], : width + 1] - up_neg[args[:, 0], : width + 1]
-    shared = log_const + down_neg[args[:, 7], :width] - down[args[:, 6], :width]
-    pairs = [up[args[:, i], : 2 * width : 2] + down[args[:, i + 2], : 2 * width : 2] for i in (2, 3)]
+    before = max(0, int((y_lo - np.maximum(b - k, (b + 1) // 2)).max()))
+    width = max(before + terms, int((n1 - y_lo).max()) + 1)
+    # The first B rows are the upper tails, the last B the lower ones.
+    k2, c2, n12 = np.concatenate(((k, c, n1),) * 2, axis=1)
+    args = _tail_args(M, k2, c2, n12, np.concatenate((y_lo - before, y_lo + 1)), np.concatenate((b, a + 1)))
+    logfact = _log_factorials(n)
+    log_const = (logfact[k2] + logfact[c2] - logfact[n12])[:, None]
+    ratio = up[args[1], : width + 1] - up_neg[args[0], : width + 1]
+    shared = log_const + down_neg[args[7], :width] - down[args[6], :width]
+    pairs = [up[args[i], : 2 * width : 2] + down[args[i + 2], : 2 * width : 2] for i in (2, 3)]
     steps = np.exp(shared - (ratio[:, :-1] + pairs[0])) + np.exp(shared - (ratio[:, 1:] + pairs[1]))
-    count = len(rows)
+    count = len(tables)
     upper = steps[:count].cumsum(axis=1)[:, before : before + terms]
     lower = steps[count:, ::-1].cumsum(axis=1)[:, ::-1][:, :terms]
     # Weights C(N1, y) C(v00, m - y) at y = y_lo + q: four log-factorials.
     # The lower tail's certain end is added last.
-    at = np.array(
-        [(M + y_lo, M + v00 - m + y_lo, M - n1 + y_lo, M - m + y_lo, k <= a - n1)
-         for k, _, v00, n1, a, _, y_lo, _ in rows]
+    log_den = (up[M + y_lo, :terms] + up[M + v00 - m + y_lo, :terms]) + (
+        down[M - n1 + y_lo, :terms] + down[M - m + y_lo, :terms]
     )
-    log_den = up[at[:, :2], :terms].sum(axis=1) + down[at[:, 2:4], :terms].sum(axis=1)
     weights = np.exp(log_den.min(axis=1, keepdims=True) - log_den)
-    return weights, weights * ((lower + at[:, 4:]) + upper)
+    return weights, weights * ((lower + (k <= a - n1)[:, None]) + upper)
 
 
-def _float_pvalues(tables: Sequence[CountVector], obs: ObservedCounts) -> np.ndarray:
-    """Float p-values of a block of tables under equal groups (`_float_grid`).
-    Each row is summed in order, so the zeros that pad it change no bit."""
+def _float_pvalues(tables: np.ndarray, obs: ObservedCounts) -> np.ndarray:
+    """Float p-values of a ``(B, 4)`` int64 array of tables under equal
+    groups (`_float_grid`).  Each row is summed in order, so the zeros that
+    pad it change no bit."""
     weights, hits = _float_grid(tables, obs)
     totals = np.concatenate((hits, weights)).cumsum(axis=1)[:, -1]
     return totals[: len(tables)] / totals[len(tables) :]
@@ -312,7 +313,7 @@ def exact_pvalue(
         return Fraction(hit, math.comb(d.n, d.m))
     if mode == "float":
         if d.balanced:
-            return float(_float_pvalues([v], obs)[0])
+            return float(_float_pvalues(np.array([v.astuple()], dtype=np.int64), obs)[0])
         lo, hi = extreme_cut(v, obs)
         if hi - lo <= 1:  # no integer numerator lies strictly between the cuts
             return 1.0
@@ -345,9 +346,10 @@ class ExactTester:
             return p >= self.alpha
         return p >= self._alpha_float - FLOAT_P_TOL
 
-    def decide_block(self, tables: Sequence[CountVector]) -> list[bool]:
-        """Decisions on several tables of an equal-groups design, in order;
-        in float mode from one kernel call, the same as `decide` on each."""
+    def decide_block(self, tables: np.ndarray) -> np.ndarray:
+        """Decisions on a ``(B, 4)`` int64 array of tables of an
+        equal-groups design, in order; in float mode from one kernel call,
+        the same as `decide` on each."""
         if self.mode != "float" or not self.obs.design.balanced:
-            return [self.decide(v) for v in tables]
-        return (_float_pvalues(tables, self.obs) >= self._alpha_float - FLOAT_P_TOL).tolist()
+            return np.array([self.decide(CountVector(*v)) for v in tables.tolist()], dtype=bool)
+        return _float_pvalues(tables, self.obs) >= self._alpha_float - FLOAT_P_TOL

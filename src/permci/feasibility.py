@@ -11,14 +11,19 @@ family of tables
 
 indexed by ``j`` (subjects whose treatment outcome is 1) and ``v10``.  For
 each ``j``, `feasible_v10_range` returns the exact set of ``v10`` giving a
-possible table, which is always a contiguous integer interval.  Contiguity
-is load-bearing: the fast balanced scan tests only the smallest member, and
-the general-design scan walks the rest as a line segment.
+possible table, which is always a contiguous integer interval.  The ``j``
+with a possible table form one interval too, so `feasible_rows` returns
+every row of one effect with a few array operations, from the same closed
+form.  Contiguity is load-bearing: the fast balanced scan tests only the
+smallest member, and the general-design scan walks the rest as a line
+segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import CountVector, ObservedCounts
 
@@ -52,22 +57,41 @@ def is_possible(v: CountVector, obs: ObservedCounts) -> bool:
     return lo <= hi
 
 
+def _j_span(ntau0: int, obs: ObservedCounts) -> tuple[int, int]:
+    """``(j_lo, j_hi)``: the ``j`` with a possible table at ``ntau0``, from
+    four linear conditions.  At each of them `_v10_bounds` is non-empty,
+    since there each of its lower terms is at most each of its upper ones."""
+    return max(ntau0 + obs.n01, obs.n11), obs.n11 + obs.n01 + min(obs.n00, ntau0 + obs.n10)
+
+
+def _v10_bounds(j, ntau0: int, obs: ObservedCounts, top=max, bottom=min):
+    """The closed form ``(lo, hi)`` of the feasible ``v10`` at a ``j`` in
+    `_j_span`: for an integer ``j`` with `max` and `min`, or for an array
+    of them with `np.maximum` and `np.minimum`."""
+    n11, n10, n01, n00 = obs.astuple()
+    lo = top(top(j - (n11 + n01), n11 + n01 + ntau0 - j), max(0, ntau0))
+    hi = bottom(bottom(j, obs.n + ntau0 - j), min(n11 + n00, n10 + n01 + ntau0))
+    return lo, hi
+
+
 def feasible_v10_range(j: int, ntau0: int, obs: ObservedCounts) -> V10Range | None:
     """Feasible ``v10`` interval for the family at (j, tau0), or None.
 
-    ``ntau0`` is the scaled effect ``n * tau0``.  Four constant-time
-    necessary conditions on ``j`` are checked first so that infeasible rows
-    of the scan cost O(1), then the closed-form interval endpoints.
+    ``ntau0`` is the scaled effect ``n * tau0``.
     """
-    n11, n10, n01, n00 = obs.astuple()
-    n = obs.n
-    if j < ntau0 + n01 or j < n11 or n < j + n10 or j > n11 + ntau0 + n10 + n01:
+    j_lo, j_hi = _j_span(ntau0, obs)
+    if not j_lo <= j <= j_hi:
         return None
-    lo = max(0, ntau0, j - n11 - n01, n11 + n01 + ntau0 - j)
-    hi = min(j, n11 + n00, n10 + n01 + ntau0, n + ntau0 - j)
-    if lo > hi:
-        return None
-    return V10Range(lo, hi)
+    return V10Range(*_v10_bounds(j, ntau0, obs))
+
+
+def feasible_rows(ntau0: int, obs: ObservedCounts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every feasible row of the effect ``ntau0`` at once: int64 arrays
+    ``(j, lo, hi)``, ``j`` ascending, each row what `feasible_v10_range`
+    returns for its ``j``."""
+    j_lo, j_hi = _j_span(ntau0, obs)
+    j = np.arange(j_lo, j_hi + 1, dtype=np.int64)
+    return (j, *_v10_bounds(j, ntau0, obs, np.maximum, np.minimum))
 
 
 def family_vector(j: int, v10: int, ntau0: int, n: int) -> CountVector:

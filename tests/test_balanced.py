@@ -2,10 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from permci.core import CountVector, ObservedCounts, ValidationError, c_set, neyman
 from permci.balanced import (
+    _sites,
     binary_search,
     fast_interval_balanced,
     is_compatible_balanced,
@@ -13,6 +15,7 @@ from permci.balanced import (
 from permci import exactdist
 from permci.api import interval
 from permci.exactdist import ExactTester, exact_pvalue
+from permci.feasibility import family_vector, feasible_v10_range
 
 from _oracles import all_count_vectors, all_observed
 from test_acceptance import REFERENCE_ROWS
@@ -203,3 +206,49 @@ def test_rational_scan_stays_lazy(monkeypatch):
             calls.clear()
             tests = run().tests
             assert len(calls) == tests > 0
+
+
+def scalar_sites(ntau0, obs):
+    """The scan's sites one ``j`` at a time, from the scalar feasibility
+    test: the smallest feasible v10, then the v10 = 1 neighbor of a table
+    with no contrast subjects."""
+    for j in range(obs.n + 1):
+        rng = feasible_v10_range(j, ntau0, obs)
+        if rng is None:
+            continue
+        v = family_vector(j, rng.lo, ntau0, obs.n)
+        yield v.astuple(), (ntau0, j, 0)
+        if v.v10 == 0 and v.v01 == 0 and 1 in rng:
+            yield family_vector(j, 1, ntau0, obs.n).astuple(), (ntau0, j, 1)
+
+
+class RejectAll:
+    """A tester that records what a scan hands it and accepts nothing."""
+
+    def __init__(self):
+        self.seen = []
+
+    def decide(self, v, key=None):
+        self.seen.append((v.astuple(), key))
+        return False
+
+
+def test_array_sites_are_the_scalar_walk():
+    # The sites, and the tables and keys a one-site-at-a-time tester is
+    # handed (the keys seed Monte Carlo substreams), in the scalar order.
+    neighbors = 0
+    for n in range(2, 13, 2):
+        for obs in all_observed(n, n // 2):
+            for ntau0 in c_set(obs):
+                tables, keys = _sites(ntau0, obs)
+                assert tables.dtype == keys.dtype == np.int64
+                assert tables.shape == (len(keys), 4) and keys.shape[1] == 3
+                got = list(zip(map(tuple, tables.tolist()), map(tuple, keys.tolist())))
+                want = list(scalar_sites(ntau0, obs))
+                assert got == want, (obs.astuple(), ntau0)
+                tester = RejectAll()
+                assert is_compatible_balanced(ntau0, obs, tester).tests == len(want)
+                assert tester.seen == want
+                assert all(type(x) is int for _, key in tester.seen for x in key)
+                neighbors += sum(key[2] for _, key in want)
+    assert neighbors > 0

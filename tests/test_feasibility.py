@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
+
 from permci.core import CountVector, ObservedCounts
-from permci.feasibility import family_vector, feasible_v10_range, is_possible
+from permci.feasibility import family_vector, feasible_rows, feasible_v10_range, is_possible
 
 from _oracles import all_count_vectors, all_observed, is_possible_bruteforce
 
@@ -102,3 +104,26 @@ def test_feasible_v10_range_is_exactly_the_possible_set():
                                 ntau0,
                                 j,
                             )
+
+
+def test_feasible_rows_match_the_scalar_form():
+    # The array form and `feasible_v10_range` share one closed form; every
+    # (j, ntau0) of every design with n <= 10 must agree, infeasible rows
+    # included (they are absent from the arrays), and no returned interval
+    # may be empty.
+    for n in range(2, 11):
+        for m in range(1, n):
+            for obs in all_observed(n, m):
+                for ntau0 in range(-n - 1, n + 2):
+                    j, lo, hi = feasible_rows(ntau0, obs)
+                    assert j.dtype == lo.dtype == hi.dtype == np.int64
+                    assert (lo <= hi).all()  # no row is empty
+                    got = dict(zip(j.tolist(), zip(lo.tolist(), hi.tolist())))
+                    want = {}
+                    for jj in range(-1, n + 2):
+                        rng = feasible_v10_range(jj, ntau0, obs)
+                        if rng is not None:
+                            assert rng.lo <= rng.hi
+                            want[jj] = (rng.lo, rng.hi)
+                    assert got == want, (obs.astuple(), ntau0)
+                    assert j.tolist() == sorted(got)

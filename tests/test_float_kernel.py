@@ -11,12 +11,18 @@ n = 2000 on a 2-vCPU host.
 
 import random
 
+import numpy as np
 import pytest
 
 from permci.core import CountVector, ObservedCounts
 from permci.exactdist import FLOAT_P_TOL, _float_grid, _float_pvalues, exact_pvalue
 
 from _oracles import all_count_vectors
+
+
+def rows(tables):
+    """The kernel's input: a ``(B, 4)`` int64 array of tables."""
+    return np.array([v.astuple() for v in tables], dtype=np.int64)
 
 
 def float_and_rational(v, obs):
@@ -33,7 +39,7 @@ def test_every_table_and_observation(n):
             for v in tables:
                 f, r = float_and_rational(v, obs)
                 assert abs(f - float(r)) < 1e-13, (obs, v.astuple(), f, r)
-                assert _float_grid([v], obs)[0].shape[1] <= n + 1
+                assert _float_grid(rows([v]), obs)[0].shape[1] <= n + 1
 
 
 @pytest.mark.parametrize(
@@ -85,7 +91,7 @@ def test_a_pvalue_does_not_depend_on_its_block(counts):
         order = rng.sample(range(len(tables)), len(tables))
         for start in range(0, len(order), width):
             block = order[start : start + width]
-            got = _float_pvalues([tables[i] for i in block], obs)
+            got = _float_pvalues(rows([tables[i] for i in block]), obs)
             assert got.tolist() == [alone[i] for i in block], (width, [tables[i] for i in block])
 
 
@@ -94,7 +100,7 @@ def test_terms_are_linear_in_n():
         m = n // 2
         obs = ObservedCounts(3 * n // 10, m - 3 * n // 10, n // 4, m - n // 4)
         for v in (CountVector(n // 3, n // 6, n // 6, n - 2 * (n // 3)), CountVector(0, m, m, 0)):
-            assert _float_grid([v], obs)[0].shape[1] <= n + 1
+            assert _float_grid(rows([v]), obs)[0].shape[1] <= n + 1
 
 
 @pytest.mark.parametrize(
@@ -115,3 +121,38 @@ def test_near_null_tables_within_tolerance(n, tables):
         f, r = float_and_rational(CountVector(*t), obs)
         assert 0.1 <= r <= 0.9
         assert abs(f - float(r)) <= FLOAT_P_TOL, (t, f, r)
+
+
+# Bits of float p-values recorded from the per-table kernel setup; the
+# column-wise setup must reproduce every one.
+PINNED_300 = [
+    ((80, 50, 30, 140), "0x1.419a1f55d9084p-1"),
+    ((60, 90, 10, 140), "0x1.065fdb9a737dfp-13"),
+    ((120, 20, 40, 120), "0x1.38b2a05bd4dd2p-9"),
+    ((10, 140, 130, 20), "0x1.66f2266429fdcp-10"),
+    ((95, 45, 5, 155), "0x1.e81f2eb7cb4dcp-2"),
+    ((100, 40, 12, 148), "0x1.0000000000000p+0"),  # gap 0
+    ((150, 0, 0, 150), "0x1.10c80aaea3001p-3"),  # no contrast subjects
+    ((0, 100, 60, 140), "0x1.9f9f6b404556dp-3"),  # no (1,1) subjects
+    ((100, 100, 100, 0), "0x1.d691281a2004ap-11"),  # no (0,0) subjects
+    ((0, 300, 0, 0), "0x0.0p+0"),  # a point mass
+    ((0, 0, 0, 300), "0x0.0p+0"),  # an empty pool
+]
+PINNED_DEGENERATE = [
+    ((2, 1, 1, 2), (1, 2, 0, 3), "0x1.0000000000000p+0"),
+    ((2, 1, 1, 2), (0, 3, 1, 2), "0x1.0000000000000p+0"),
+    ((3, 1, 1, 3), (2, 0, 0, 6), "0x1.b6db6db6db6e8p-2"),
+    ((3, 1, 1, 3), (0, 2, 0, 6), "0x1.b6db6db6db6e8p-2"),
+    ((3, 1, 1, 3), (2, 4, 2, 0), "0x1.b6db6db6db6e8p-2"),
+    ((2, 1, 1, 2), (0, 6, 0, 0), "0x0.0p+0"),
+    ((4, 0, 0, 4), (0, 0, 0, 8), "0x0.0p+0"),
+    ((4, 0, 0, 4), (4, 0, 0, 4), "0x1.d41d41d41d426p-6"),
+]
+
+
+def test_pvalue_bits_are_pinned():
+    obs = ObservedCounts(70, 80, 56, 94)
+    for t, bits in PINNED_300:
+        assert exact_pvalue(CountVector(*t), obs, "float").hex() == bits, t
+    for o, t, bits in PINNED_DEGENERATE:
+        assert exact_pvalue(CountVector(*t), ObservedCounts(*o), "float").hex() == bits, (o, t)

@@ -217,3 +217,23 @@ def test_mc_interval_thread_invariant_at_zero_effect_neighbor_sites():
     assert runs[0].interval == runs[1].interval == runs[2].interval
     assert [r.tests for r in runs] == [20, 20, 20]
     assert [r.samples_drawn for r in runs] == [40000, 40000, 40000]
+
+
+@pytest.mark.parametrize(
+    "counts,seed,want",
+    [
+        ((5, 3, 2, 6), 11, (Fraction(-1, 8), Fraction(11, 16), 9)),
+        ((5, 10, 0, 15), 12, (Fraction(0), Fraction(17, 30), 32)),
+        # decides the v10 = 1 neighbor site (0, 16, 1) at tau0 = 0
+        ((4, 15, 12, 7), 13, (Fraction(-12, 19), Fraction(-3, 38), 47)),
+    ],
+)
+def test_mc_interval_is_pinned(counts, seed, want):
+    # Recorded from the scalar walker, before sites came from arrays; the
+    # keys handed to the tester are checked one by one in test_balanced.
+    cfg = McConfig(alpha=0.05, eps=0.01, k=3000, seed=seed)
+    for threads in (1, 2):
+        got = mc_interval_balanced(cfg, ObservedCounts(*counts), threads)
+        lower, upper, tests = want
+        assert (got.interval.lower, got.interval.upper, got.tests) == (lower, upper, tests)
+        assert got.samples_drawn == tests * cfg.k
