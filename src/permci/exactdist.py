@@ -16,9 +16,11 @@ equivalence tests against direct assignment enumeration.
 
 Two arithmetic modes, both deciding extremeness by the integer `extreme_cut`:
 
-- ``rational``: integer split weights over the common denominator C(n,m);
-  every probability is exact.  Comfortable up to n around 64; this is the
-  oracle mode used by all correctness sweeps.
+- ``rational``: integer counts over the common denominator C(n,m); every
+  probability is exact.  `split_weights` enumerates the splits, for lone
+  p-values and `ExactTester.decide`, and is the oracle of all correctness
+  sweeps; `_extreme_counts` counts a block of tables' extreme splits with
+  prefix sums, O(m v01 + v11 v10) terms per table.
 - ``float``: float64 probabilities from one cached table of ``log(k!)``
   (`math.lgamma`).  For equal groups a p-value is O(n) terms: the count
   ``y = x11 + x10 + x01`` is hypergeometric, ``x11`` given ``y`` is
@@ -28,10 +30,10 @@ Two arithmetic modes, both deciding extremeness by the integer `extreme_cut`:
   row, its set-up included, with one set of array operations, so its fixed
   cost of about 130 numpy calls is shared: at n = 280-320 a table costs
   about 18-30 µs in a block of 32 and 225-260 µs alone (2-vCPU host).
-  Unequal groups sum the split grid, each cell with its exact 0/1
-  extremeness.  Nothing is truncated: the only error is float rounding,
-  measured at 5e-15 for n <= 14, 5e-14 at n = 200 and 1.4e-13 at n = 2000,
-  inside the documented 1e-12 tolerance.  Acceptance decisions in this mode
+  Unequal groups round `_extreme_counts`'s exact count.  Nothing is
+  truncated: the only error is float rounding, measured at 5e-15 for
+  n <= 14, 5e-14 at n = 200 and 6.8e-13 at n = 2000, but -1.92e-12 at
+  n = 5000, past the 1e-12 tolerance.  Acceptance decisions in this mode
   treat p-values within the tolerance of the level as accepted, the
   direction that preserves coverage.
 """
@@ -139,6 +141,50 @@ def _diff_weights_balanced(v: CountVector, m: int) -> dict[int, int]:
     return weights
 
 
+@functools.lru_cache(maxsize=32)
+def _binomials(n: int, m: int) -> np.ndarray:
+    """Read-only ``C(k, j)`` at ``[k, j]`` for ``0 <= k <= n`` and
+    ``-m - 1 <= j <= m`` (negative ``j`` index zero columns): int64, exact
+    modulo ``2^64``, while ``2 C(n, m) < 2^63``, else Python ints."""
+    table = np.zeros((n + 1, 2 * m + 2), np.int64 if 2 * math.comb(n, m) < 2**63 else object)
+    table[:, 0] = 1
+    for k in range(1, n + 1):  # Pascal's rule; int64 wraps silently
+        table[k, 1 : m + 1] = table[k - 1, 1 : m + 1] + table[k - 1, :m]
+    table.flags.writeable = False
+    return table
+
+
+def _extreme_counts(tables: np.ndarray, obs: ObservedCounts) -> np.ndarray:
+    """Extreme splits of each table of a ``(B, 4)`` int64 array, any design:
+    the numerators over ``C(n, m)`` of the rational p-values, exactly.
+
+    ``num = x11 n + x10 u + x01 m - (v11 + v01) m``, so given ``(x11, x10)``
+    a split is extreme exactly when ``x01 < A`` or ``x01 >= A'``, where
+    ``x01`` counts the (0,1) subjects among the ``r = m - x11 - x10``
+    treated from the (0,1)+(0,0) pool: one prefix-sum row per ``r`` answers
+    every ``(x11, x10)`` cell.  In int64 every operation on counts is exact
+    modulo ``2^64`` and each count is below ``2^63``, so wrapped
+    intermediates leave the result exact."""
+    n, m = obs.n, obs.m
+    comb = _binomials(n, m)
+    v11, v10, v01, v00 = tables.T[:, :, None, None]
+    top11, top10, top01, _ = np.minimum(tables.max(axis=0), m).tolist()  # x01 <= r <= m
+    lo, hi = extreme_cut(tables, obs)
+    # pre[b, r, t] = sum of C(v01, x01) C(v00, r - x01) over x01 < t; row m + 1, for r < 0, is 0
+    r, x01 = np.arange(m + 1)[:, None], np.arange(top01 + 1)
+    pre = np.zeros((len(tables), m + 2, top01 + 2), comb.dtype)
+    pre[:, : m + 1, 1:] = (comb[v01, x01] * comb[v00, r - x01]).cumsum(axis=2)
+    x11, x10 = np.arange(top11 + 1)[:, None], np.arange(top10 + 1)
+    r = m - x11 - x10
+    grid = x11 * n + x10 * (n - m) - (v11 + v01) * m
+    ends = ((lo[:, None, None] - grid) // m + 1, -((grid - hi[:, None, None]) // m))
+    rows = ((np.arange(len(tables)) * (m + 2))[:, None, None] + np.where(r < 0, m + 1, r)) * (top01 + 2)
+    below, above = (pre.take(rows + np.minimum(np.maximum(e, 0), top01 + 1)) for e in ends)
+    tails = below + (comb[v01 + v00, r] - above)
+    hits = (comb[v11, x11] * comb[v10, x10] * tails).sum(axis=(1, 2))
+    return np.where(hi - lo <= 1, math.comb(n, m), hits)
+
+
 @functools.lru_cache(maxsize=16)
 def _log_factorials(n: int) -> np.ndarray:
     """Read-only ``log(k!)`` for ``k = 0..n``, each entry from `math.lgamma`."""
@@ -150,33 +196,6 @@ def _log_factorials(n: int) -> np.ndarray:
     table = np.array([math.lgamma(k + 1) for k in range(n + 1)])
     table.flags.writeable = False
     return table
-
-
-def _split_cells(v: CountVector, d: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Flat arrays of statistic numerators and log-probabilities, one per
-    treatment split ``(x11, x10, x01, .)`` of ``v``; any design."""
-    logfact = _log_factorials(d.n)
-    m = d.m
-    v11, v10, v01, v00 = v.astuple()
-    # log C(count, x) for x = 0..count, per class
-    r11, r10, r01, r00 = (
-        logfact[count] - logfact[: count + 1] - logfact[count::-1] for count in (v11, v10, v01, v00)
-    )
-    log_total = logfact[d.n] - logfact[m] - logfact[d.n - m]
-    X10, X01 = np.meshgrid(
-        np.arange(min(v10, m) + 1, dtype=np.int64),
-        np.arange(min(v01, m) + 1, dtype=np.int64),
-        indexing="ij",
-    )
-    nums_parts: list[np.ndarray] = []
-    logp_parts: list[np.ndarray] = []
-    for x11 in range(max(0, m - v10 - v01 - v00), min(v11, m) + 1):
-        R = m - x11 - X10 - X01
-        ok = (R >= 0) & (R <= v00)
-        a10, a01 = X10[ok], X01[ok]
-        logp_parts.append(r11[x11] + r10[a10] + r01[a01] + r00[R[ok]] - log_total)
-        nums_parts.append(split_num(v, d, x11, a10, a01).astype(np.int64))
-    return np.concatenate(nums_parts), np.concatenate(logp_parts)
 
 
 @functools.lru_cache(maxsize=8)
@@ -312,14 +331,11 @@ def exact_pvalue(
         hit = sum(w for num, w in weights.items() if num <= lo or num >= hi)
         return Fraction(hit, math.comb(d.n, d.m))
     if mode == "float":
+        table = np.array([v.astuple()], dtype=np.int64)
         if d.balanced:
-            return float(_float_pvalues(np.array([v.astuple()], dtype=np.int64), obs)[0])
-        lo, hi = extreme_cut(v, obs)
-        if hi - lo <= 1:  # no integer numerator lies strictly between the cuts
-            return 1.0
-        nums, logp = _split_cells(v, d)
-        weights = np.exp(logp)
-        return float((weights * ((nums <= lo) | (nums >= hi))).sum() / weights.sum())
+            return float(_float_pvalues(table, obs)[0])
+        _log_factorials(d.n)  # the capacity check
+        return int(_extreme_counts(table, obs)[0]) / math.comb(d.n, d.m)
     raise ValidationError(f"unknown mode {mode!r}")
 
 
@@ -328,8 +344,8 @@ class ExactTester:
 
     In rational mode the comparison ``p >= alpha`` is exact.  In float mode
     p-values within FLOAT_P_TOL of alpha are accepted, which can only widen
-    intervals and therefore cannot hurt coverage; for equal groups
-    `decide_block` decides a block of tables with one `_float_grid` call.
+    intervals and therefore cannot hurt coverage.  `decide_block` decides a
+    block of tables with one kernel call, `_extreme_counts` or `_float_grid`.
     Every decision computes its p-value afresh; the tester holds no mutable
     state, so one instance may decide tables on several threads at once.
     """
@@ -339,6 +355,8 @@ class ExactTester:
         self.alpha = alpha_fraction(alpha)
         self.mode = mode
         self._alpha_float = float(self.alpha)
+        # The fewest extreme splits of an accepted table: ceil(alpha C(n, m)).
+        self._threshold = -(-self.alpha.numerator * math.comb(obs.n, obs.m) // self.alpha.denominator)
 
     def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool:
         p = exact_pvalue(v, self.obs, self.mode)
@@ -347,9 +365,12 @@ class ExactTester:
         return p >= self._alpha_float - FLOAT_P_TOL
 
     def decide_block(self, tables: np.ndarray) -> np.ndarray:
-        """Decisions on a ``(B, 4)`` int64 array of tables of an
-        equal-groups design, in order; in float mode from one kernel call,
-        the same as `decide` on each."""
-        if self.mode != "float" or not self.obs.design.balanced:
-            return np.array([self.decide(CountVector(*v)) for v in tables.tolist()], dtype=bool)
+        """Decisions on a ``(B, 4)`` int64 array of tables, in order, from
+        one kernel call, the same as `decide` on each: in rational mode
+        `_extreme_counts` for any design, in float mode `_float_pvalues`
+        for equal groups."""
+        if self.mode == "rational":
+            return _extreme_counts(tables, self.obs) >= self._threshold
+        if not self.obs.design.balanced:
+            raise ValidationError("float-mode blocks need equal groups")
         return _float_pvalues(tables, self.obs) >= self._alpha_float - FLOAT_P_TOL

@@ -57,20 +57,20 @@ def is_possible(v: CountVector, obs: ObservedCounts) -> bool:
     return lo <= hi
 
 
-def _j_span(ntau0: int, obs: ObservedCounts) -> tuple[int, int]:
-    """``(j_lo, j_hi)``: the ``j`` with a possible table at ``ntau0``, from
-    four linear conditions.  At each of them `_v10_bounds` is non-empty,
-    since there each of its lower terms is at most each of its upper ones."""
-    return max(ntau0 + obs.n01, obs.n11), obs.n11 + obs.n01 + min(obs.n00, ntau0 + obs.n10)
+def _j_span(ntau0, obs: ObservedCounts, top=max, bottom=min):
+    """``(j_lo, j_hi)``: the ``j`` with a possible table at ``ntau0`` (or at
+    each of an array, with `np.maximum` and `np.minimum`), from four linear
+    conditions.  At each of them `_v10_bounds` is non-empty."""
+    return top(ntau0 + obs.n01, obs.n11), obs.n11 + obs.n01 + bottom(obs.n00, ntau0 + obs.n10)
 
 
-def _v10_bounds(j, ntau0: int, obs: ObservedCounts, top=max, bottom=min):
+def _v10_bounds(j, ntau0, obs: ObservedCounts, top=max, bottom=min):
     """The closed form ``(lo, hi)`` of the feasible ``v10`` at a ``j`` in
-    `_j_span`: for an integer ``j`` with `max` and `min`, or for an array
-    of them with `np.maximum` and `np.minimum`."""
+    `_j_span`: for integers with `max` and `min`, or for arrays with
+    `np.maximum` and `np.minimum`."""
     n11, n10, n01, n00 = obs.astuple()
-    lo = top(top(j - (n11 + n01), n11 + n01 + ntau0 - j), max(0, ntau0))
-    hi = bottom(bottom(j, obs.n + ntau0 - j), min(n11 + n00, n10 + n01 + ntau0))
+    lo = top(top(j - (n11 + n01), n11 + n01 + ntau0 - j), top(0, ntau0))
+    hi = bottom(bottom(j, obs.n + ntau0 - j), bottom(n11 + n00, n10 + n01 + ntau0))
     return lo, hi
 
 
@@ -92,6 +92,21 @@ def feasible_rows(ntau0: int, obs: ObservedCounts) -> tuple[np.ndarray, np.ndarr
     j_lo, j_hi = _j_span(ntau0, obs)
     j = np.arange(j_lo, j_hi + 1, dtype=np.int64)
     return (j, *_v10_bounds(j, ntau0, obs, np.maximum, np.minimum))
+
+
+def line_points(effects: np.ndarray, obs: ObservedCounts) -> tuple[np.ndarray, ...]:
+    """Every possible table of each effect of an int64 array, in order, then
+    ``j`` and ``v10`` ascending: int64 arrays of their effects and of the
+    ``(S, 4)`` tables, and a flag for each line's base (smallest ``v10``)."""
+    j_lo, j_hi = _j_span(effects, obs, np.maximum, np.minimum)
+    rows = j_hi - j_lo + 1
+    s = np.repeat(effects, rows)
+    j = np.arange(len(s)) + np.repeat(j_lo - rows.cumsum() + rows, rows)
+    lo, hi = _v10_bounds(j, s, obs, np.maximum, np.minimum)
+    points = hi - lo + 1
+    step = np.arange(points.sum()) - np.repeat(points.cumsum() - points, points)
+    s, j, v10 = np.repeat(s, points), np.repeat(j, points), np.repeat(lo, points) + step
+    return s, np.array((j - v10, v10, v10 - s, obs.n - j - v10 + s)).T, step == 0
 
 
 def family_vector(j: int, v10: int, ntau0: int, n: int) -> CountVector:

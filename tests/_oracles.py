@@ -5,10 +5,11 @@ stay deliberately independent of the package's enumeration shortcuts.  The
 per-assignment forms of the Monte Carlo and line-walk machinery (one split,
 one assignment summary, one stepped summary) live here too, checked against
 the vectorized forms in the package.  So do the statistic's full
-distribution (`exact_pmf`), the witness search for possible tables, the
-chi-squared goodness-of-fit test, the exhaustive coverage harnesses, the
-interval-length sweep against its envelope (`length_bound_sweep`) and the
-Monte Carlo growth harness (`mc_growth`).
+distribution (`exact_pmf`, in float mode from `split_cells`), the general
+exact search one table at a time (`walked_unbalanced`), the witness search
+for possible tables, the chi-squared goodness-of-fit test, the exhaustive
+coverage harnesses, the interval-length sweep against its envelope
+(`length_bound_sweep`) and the Monte Carlo growth harness (`mc_growth`).
 """
 
 from __future__ import annotations
@@ -30,11 +31,15 @@ from permci.core import (
     CountVector,
     Design,
     ExactStat,
+    Interval,
     ObservedCounts,
     ValidationError,
+    alpha_fraction,
+    c_set,
     tau,
 )
-from permci.exactdist import _check_v_d, _split_cells, split_weights
+from permci.exactdist import _check_v_d, _log_factorials, exact_pvalue, split_num, split_weights
+from permci.feasibility import family_vector, feasible_v10_range
 from permci.missing import MaskedCounts, missing_interval
 from permci.montecarlo import McConfig, mc_interval_balanced, required_k_balanced, sample_splits
 from permci.unbalanced import SummaryBatch, _walk_line
@@ -230,6 +235,35 @@ def scan_line(
     return accepted
 
 
+def _walked_effect(s: int, obs: ObservedCounts, alpha: Fraction, counters: dict[str, int]) -> bool:
+    """Whether effect ``s`` has an accepted table: its line points walked
+    per ``j`` ascending, then ``v10``, each decided alone by its rational
+    p-value (`split_weights`)."""
+    n = obs.n
+    for j in range(n + 1):
+        rng = feasible_v10_range(j, s, obs)
+        if rng is None:
+            continue
+        for v10 in range(rng.lo, rng.hi + 1):
+            counters["base" if v10 == rng.lo else "line"] += 1
+            if exact_pvalue(family_vector(j, v10, s, n), obs) >= alpha:
+                return True
+    return False
+
+
+def walked_unbalanced(obs: ObservedCounts, alpha: float) -> tuple[Interval, int, int]:
+    """The general exact search one table at a time: ``(interval,
+    base_tests, line_points)`` of a descending search for the upper endpoint
+    and an ascending one below it, as `unbalanced_interval` must give."""
+    level, counters = alpha_fraction(alpha), {"base": 0, "line": 0}
+    effects = c_set(obs)
+    upper = next((s for s in reversed(effects) if _walked_effect(s, obs, level, counters)), None)
+    if upper is None:
+        return Interval.empty(), counters["base"], counters["line"]
+    lower = next((s for s in range(effects[0], upper) if _walked_effect(s, obs, level, counters)), upper)
+    return Interval.from_scaled(lower, upper, obs.n), counters["base"], counters["line"]
+
+
 @dataclass(frozen=True)
 class StatPmf:
     """Distribution of the statistic, as (value, probability) pairs.
@@ -252,6 +286,33 @@ class StatPmf:
         return sum((v.fraction * p for v, p in self.entries), Fraction(0))
 
 
+def split_cells(v: CountVector, d: Design) -> tuple[np.ndarray, np.ndarray]:
+    """Flat arrays of statistic numerators and log-probabilities, one per
+    treatment split ``(x11, x10, x01, .)`` of ``v``; any design, float64."""
+    logfact = _log_factorials(d.n)
+    m = d.m
+    v11, v10, v01, v00 = v.astuple()
+    # log C(count, x) for x = 0..count, per class
+    r11, r10, r01, r00 = (
+        logfact[count] - logfact[: count + 1] - logfact[count::-1] for count in (v11, v10, v01, v00)
+    )
+    log_total = logfact[d.n] - logfact[m] - logfact[d.n - m]
+    X10, X01 = np.meshgrid(
+        np.arange(min(v10, m) + 1, dtype=np.int64),
+        np.arange(min(v01, m) + 1, dtype=np.int64),
+        indexing="ij",
+    )
+    nums_parts: list[np.ndarray] = []
+    logp_parts: list[np.ndarray] = []
+    for x11 in range(max(0, m - v10 - v01 - v00), min(v11, m) + 1):
+        R = m - x11 - X10 - X01
+        ok = (R >= 0) & (R <= v00)
+        a10, a01 = X10[ok], X01[ok]
+        logp_parts.append(r11[x11] + r10[a10] + r01[a01] + r00[R[ok]] - log_total)
+        nums_parts.append(split_num(v, d, x11, a10, a01).astype(np.int64))
+    return np.concatenate(nums_parts), np.concatenate(logp_parts)
+
+
 def exact_pmf(v: CountVector, d: Design, mode: str = "rational") -> StatPmf:
     """Distribution of the statistic over uniform re-randomization of ``v``."""
     _check_v_d(v, d)
@@ -264,7 +325,7 @@ def exact_pmf(v: CountVector, d: Design, mode: str = "rational") -> StatPmf:
         )
         return StatPmf(entries, d, mode)
     if mode == "float":
-        nums, logw = _split_cells(v, d)
+        nums, logw = split_cells(v, d)
         order = np.argsort(nums, kind="stable")
         uniq, start = np.unique(nums[order], return_index=True)
         probs = np.add.reduceat(np.exp(logw[order]), start)
