@@ -8,6 +8,7 @@ from .core import (
     Design,
     ExactStat,
     Interval,
+    IntervalResult,
     ObservedCounts,
     PermCIError,
     ValidationError,
@@ -21,7 +22,7 @@ from .baseline import enumerated_interval
 from .balanced import binary_search, fast_interval_balanced, is_compatible_balanced
 from .montecarlo import McConfig, mc_interval_balanced, mc_test, required_k_balanced
 from .unbalanced import required_k_unbalanced, unbalanced_interval
-from .api import IntervalResult, interval, required_k
+from .api import interval, required_k
 from .missing import (
     MaskedCounts,
     missing_interval,

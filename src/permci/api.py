@@ -9,16 +9,13 @@ construction and its arithmetic:
 - ``"mc"``: the same two searches with seeded Monte Carlo tests.
 - ``"enum"``: the enumeration construction, for any design.
 
-``tests`` counts every tested table: the scans' tests for equal groups,
-base tests plus line points for the general design, and imputation tuples
-for the enumeration.
+Every construction returns the one `IntervalResult`, with its own
+``method``; this module only picks the construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Interval, ObservedCounts, ValidationError
+from .core import IntervalResult, ObservedCounts, ValidationError
 from .balanced import fast_interval_balanced
 from .baseline import enumerated_interval
 from .exactdist import ExactTester
@@ -28,13 +25,6 @@ from .unbalanced import required_k_unbalanced, unbalanced_interval
 #: Largest n whose balanced exact p-values are computed in rational
 #: arithmetic; above it the float kernel is used.
 RATIONAL_MAX_N = 64
-
-
-@dataclass(frozen=True)
-class IntervalResult:
-    interval: Interval
-    method: str
-    tests: int
 
 
 def required_k(eps: float, obs: ObservedCounts) -> int:
@@ -61,20 +51,14 @@ def interval(
     if method == "exact":
         if balanced:
             arithmetic = "rational" if obs.n <= RATIONAL_MAX_N else "float"
-            tester = ExactTester(obs, alpha, arithmetic)
-            res = fast_interval_balanced(alpha, obs, tester=tester)
-            return IntervalResult(res.interval, f"fast-balanced-exact[{arithmetic}]", res.tests)
-        res = unbalanced_interval(obs, alpha=alpha, mode="exact")
-        return IntervalResult(res.interval, "general-exact", res.tests)
+            return fast_interval_balanced(alpha, obs, tester=ExactTester(obs, alpha, arithmetic))
+        return unbalanced_interval(obs, alpha=alpha, mode="exact")
     if method == "mc":
         if cfg is None:
             raise ValidationError("the mc method requires an McConfig")
         if balanced:
-            res = mc_interval_balanced(cfg, obs, threads=threads)
-            return IntervalResult(res.interval, "fast-balanced-mc", res.tests)
-        res = unbalanced_interval(obs, mode="mc", cfg=cfg)
-        return IntervalResult(res.interval, "general-mc", res.tests)
+            return mc_interval_balanced(cfg, obs, threads=threads)
+        return unbalanced_interval(obs, mode="mc", cfg=cfg)
     if method == "enum":
-        res = enumerated_interval(alpha, obs)
-        return IntervalResult(res.interval, "enumeration", res.tuple_tests)
+        return enumerated_interval(alpha, obs)
     raise ValidationError(f"unknown method {method!r}; use 'exact', 'mc' or 'enum'")

@@ -47,6 +47,7 @@ import numpy as np
 from .core import (
     CountVector,
     Interval,
+    IntervalResult,
     ObservedCounts,
     ValidationError,
     alpha_fraction,
@@ -68,7 +69,8 @@ class TableTester(Protocol):
     """Accept/reject decision for one table; ``key`` identifies the test site
     ``(scaled tau0, j, variant)`` so seeded testers can derive substreams.
     Implementations hold no mutable state, so a scan may call ``decide``
-    from several threads at once."""
+    from several threads at once.  The package's testers also carry the
+    ``obs`` and the level ``alpha`` they decide for."""
 
     def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool: ...
 
@@ -158,12 +160,6 @@ def is_compatible_balanced(
     return ScanOutcome(False, tests)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    interval: Interval
-    tests: int
-
-
 def _scaled_estimate(obs: ObservedCounts) -> int:
     # For equal groups n*T = 2*(n11 - n01), an integer inside the attainable range.
     return 2 * (obs.n11 - obs.n01)
@@ -174,24 +170,34 @@ def fast_interval_balanced(
     obs: ObservedCounts,
     tester: TableTester | None = None,
     threads: int = 1,
-) -> SearchResult:
+) -> IntervalResult:
     """Level ``1 - alpha`` interval via bisection over candidate effects.
 
     Requires equal group sizes.  ``tester`` defaults to the exact rational
     tester; a Monte Carlo tester yields the approximate variant with the same
-    control flow.  With ``threads > 1`` each scan decides its sites in blocks
-    of ``2 * threads`` on a pool of that many threads; the interval and the
-    test count do not depend on ``threads``.  The result of an exact run
-    always contains the point estimate; with a noisy tester the two endpoint
-    searches can in principle cross, in which case the empty interval is
-    returned.
+    control flow.  A tester that carries ``obs`` must have been built for
+    these counts at this level.  With ``threads > 1`` each scan decides its
+    sites in blocks of ``2 * threads`` on a pool of that many threads; the
+    interval and the test count do not depend on ``threads``.  The result of
+    an exact run always contains the point estimate; with a noisy tester the
+    two endpoint searches can in principle cross, in which case the empty
+    interval is returned.
     """
-    alpha_fraction(alpha)
+    level = alpha_fraction(alpha)
     d = obs.design
     if not d.balanced:
         raise ValidationError("fast_interval_balanced requires equal group sizes")
     if tester is None:
         tester = ExactTester(obs, alpha)
+    elif hasattr(tester, "obs") and (tester.obs != obs or tester.alpha != level):
+        raise ValidationError(
+            f"tester decides for counts {tester.obs.astuple()} at level {float(tester.alpha):g}, "
+            f"not {obs.astuple()} at {float(level):g}"
+        )
+    if isinstance(tester, ExactTester):
+        method = f"fast-balanced-exact[{tester.mode}]"
+    else:
+        method = "fast-balanced-mc"
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         total_tests = 0
         memo: dict[int, bool] = {}
@@ -227,4 +233,4 @@ def fast_interval_balanced(
             interval = Interval.empty()
         else:
             interval = Interval.from_scaled(lower, upper, obs.n)
-        return SearchResult(interval, total_tests)
+        return IntervalResult(interval, method, total_tests)

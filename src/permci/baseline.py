@@ -16,17 +16,10 @@ Works for any group sizes.  This module exists for correctness, not speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
-from .core import CountVector, Interval, ObservedCounts
+from .core import CountVector, Interval, IntervalResult, ObservedCounts
 from .exactdist import ExactTester
-
-
-@dataclass(frozen=True)
-class EnumerationResult:
-    interval: Interval
-    tuple_tests: int
 
 
 def imputation_vector(obs: ObservedCounts, i: int, j: int, k: int, l: int) -> CountVector:
@@ -39,7 +32,7 @@ def imputation_vector(obs: ObservedCounts, i: int, j: int, k: int, l: int) -> Co
     )
 
 
-def enumerated_interval(alpha: float, obs: ObservedCounts) -> EnumerationResult:
+def enumerated_interval(alpha: float, obs: ObservedCounts) -> IntervalResult:
     """Interval of effects whose best possible table passes the level-alpha test.
 
     Returns the closed hull [min accepted effect, max accepted effect]; the
@@ -55,4 +48,4 @@ def enumerated_interval(alpha: float, obs: ObservedCounts) -> EnumerationResult:
         interval = Interval.from_scaled(min(accepted), max(accepted), obs.n)
     else:
         interval = Interval.empty()
-    return EnumerationResult(interval, math.prod(map(len, cells)))
+    return IntervalResult(interval, "enumeration", math.prod(map(len, cells)))

@@ -17,6 +17,7 @@ is the only field that varies between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -215,8 +216,8 @@ def _cmd_missing(args: argparse.Namespace) -> int:
         "n": n,
         "m": data.m,
         "alpha": args.alpha,
-        "plus_counts": list(res.plus.astuple()),
-        "minus_counts": list(res.minus.astuple()),
+        "plus_counts": list(data.plus.astuple()),
+        "minus_counts": list(data.minus.astuple()),
         "k": None,
         "seed": None,
         **_interval_fields(res.interval, n),
@@ -225,7 +226,10 @@ def _cmd_missing(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The parser and its ``mc --threads`` option, built on first use and
+    kept for the process."""
     parser = argparse.ArgumentParser(
         prog="permci",
         description="Exact confidence intervals for binary-outcome randomized experiments.",
@@ -247,9 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--eps", type=_level, required=True)
     p_mc.add_argument("--k", type=_k, default="auto", help="samples per test, or 'auto'")
     p_mc.add_argument("--seed", type=_seed, required=True)
-    # argparse passes a string default through `type`, so a bad PERMCI_THREADS
-    # is a usage error like a bad --threads.
-    p_mc.add_argument("--threads", type=_positive, default=os.environ.get("PERMCI_THREADS", "1"))
+    threads = p_mc.add_argument("--threads", type=_positive)
     p_mc.set_defaults(func=_cmd_interval, method="mc")
 
     p_enum = sub.add_parser(
@@ -264,11 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_missing.add_argument("--pad-odd", action="store_true", help="balance an odd experiment first")
     p_missing.set_defaults(func=_cmd_missing)
 
-    return parser
+    return parser, threads
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, threads = build_parser()
+    # Read on every call.  argparse passes a string default through `type`,
+    # so a bad PERMCI_THREADS is a usage error like a bad --threads.
+    threads.default = os.environ.get("PERMCI_THREADS", "1")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -220,6 +220,34 @@ class Interval:
         return self.upper - self.lower
 
 
+@dataclass(frozen=True)
+class IntervalResult:
+    """What every construction returns: the interval, the construction and
+    arithmetic that built it (``method``), and what it cost.
+
+    ``tests`` counts every tested table: the scans' tests for equal groups,
+    base tests plus ``line_points`` for the general design, and imputation
+    tuples for the enumeration.  ``samples_drawn`` is ``tests * k`` for the
+    balanced Monte Carlo search and 0 for every other construction.
+    """
+
+    interval: Interval
+    method: str
+    tests: int
+    line_points: int = 0
+    samples_drawn: int = 0
+
+    @property
+    def base_tests(self) -> int:
+        """Tested tables that are not general-design line points."""
+        return self.tests - self.line_points
+
+    @property
+    def tuple_tests(self) -> int:
+        """The enumeration's name for `tests`: one per imputation tuple."""
+        return self.tests
+
+
 def tau(v: CountVector) -> Fraction:
     """Average treatment effect of a table: only the contrast classes count."""
     return Fraction(v.v10 - v.v01, v.n)

@@ -30,7 +30,7 @@ Two arithmetic modes, both deciding extremeness by the integer `extreme_cut`:
   row, its set-up included, with one set of array operations, so its fixed
   cost of about 130 numpy calls is shared: at n = 280-320 a table costs
   about 18-30 µs in a block of 32 and 225-260 µs alone (2-vCPU host).
-  Unequal groups round `_extreme_counts`'s exact count.  Nothing is
+  Float mode needs equal groups (`_float_pvalues`).  Nothing is
   truncated: the only error is float rounding, measured at 5e-15 for
   n <= 14, 5e-14 at n = 200 and 6.8e-13 at n = 2000, but -1.92e-12 at
   n = 5000, past the 1e-12 tolerance.  Acceptance decisions in this mode
@@ -306,8 +306,10 @@ def _float_grid(tables: np.ndarray, obs: ObservedCounts) -> tuple[np.ndarray, np
 
 def _float_pvalues(tables: np.ndarray, obs: ObservedCounts) -> np.ndarray:
     """Float p-values of a ``(B, 4)`` int64 array of tables under equal
-    groups (`_float_grid`).  Each row is summed in order, so the zeros that
-    pad it change no bit."""
+    groups (`_float_grid`), the only design float mode takes.  Each row is
+    summed in order, so the zeros that pad it change no bit."""
+    if not obs.design.balanced:
+        raise ValidationError("float mode needs equal groups; use rational mode")
     weights, hits = _float_grid(tables, obs)
     totals = np.concatenate((hits, weights)).cumsum(axis=1)[:, -1]
     return totals[: len(tables)] / totals[len(tables) :]
@@ -331,11 +333,7 @@ def exact_pvalue(
         hit = sum(w for num, w in weights.items() if num <= lo or num >= hi)
         return Fraction(hit, math.comb(d.n, d.m))
     if mode == "float":
-        table = np.array([v.astuple()], dtype=np.int64)
-        if d.balanced:
-            return float(_float_pvalues(table, obs)[0])
-        _log_factorials(d.n)  # the capacity check
-        return int(_extreme_counts(table, obs)[0]) / math.comb(d.n, d.m)
+        return float(_float_pvalues(np.array([v.astuple()], dtype=np.int64), obs)[0])
     raise ValidationError(f"unknown mode {mode!r}")
 
 
@@ -371,6 +369,4 @@ class ExactTester:
         for equal groups."""
         if self.mode == "rational":
             return _extreme_counts(tables, self.obs) >= self._threshold
-        if not self.obs.design.balanced:
-            raise ValidationError("float-mode blocks need equal groups")
         return _float_pvalues(tables, self.obs) >= self._alpha_float - FLOAT_P_TOL

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, replace
 
-from .core import Interval, ObservedCounts, ValidationError, neyman
+from .core import Interval, IntervalResult, ObservedCounts, ValidationError, neyman
 from .api import interval
 
 
@@ -78,19 +78,12 @@ class MaskedCounts:
         )
 
 
-@dataclass(frozen=True)
-class MissingResult:
-    interval: Interval
-    plus: ObservedCounts
-    minus: ObservedCounts
-    method: str
-
-
-def missing_interval(alpha: float, data: MaskedCounts) -> MissingResult:
-    """Bracketing interval valid under arbitrary missingness."""
+def missing_interval(alpha: float, data: MaskedCounts) -> IntervalResult:
+    """Bracketing interval valid under arbitrary missingness.  Its counts
+    are the sums of those of the two completions' exact intervals."""
     plus, minus = data.plus, data.minus
-    lower_iv = interval(minus, alpha).interval
-    upper_iv = interval(plus, alpha).interval
+    low, high = interval(minus, alpha), interval(plus, alpha)
+    lower_iv, upper_iv = low.interval, high.interval
     if plus.design.balanced:
         lower = lower_iv.lower
         upper = upper_iv.upper
@@ -104,7 +97,8 @@ def missing_interval(alpha: float, data: MaskedCounts) -> MissingResult:
         lower = t_minus if lower_iv.is_empty else min(lower_iv.lower, t_minus)
         upper = t_plus if upper_iv.is_empty else max(upper_iv.upper, t_plus)
         method = "bracketed-unbalanced"
-    return MissingResult(Interval(lower, upper), plus, minus, method)
+    tests, line_points = low.tests + high.tests, low.line_points + high.line_points
+    return IntervalResult(Interval(lower, upper), method, tests, line_points)
 
 
 def pad_odd(data: MaskedCounts) -> MaskedCounts:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -38,7 +38,7 @@ from .core import (
     CapacityError,
     CountVector,
     Design,
-    Interval,
+    IntervalResult,
     ObservedCounts,
     ValidationError,
     alpha_fraction,
@@ -147,19 +147,11 @@ def extreme_counts(
     return int(np.count_nonzero((num <= lo) | (num >= hi)))
 
 
-@dataclass(frozen=True)
-class McDecision:
-    accept: bool
-    hits: int
-
-
-def mc_test(
-    cfg: McConfig, v: CountVector, obs: ObservedCounts, rng: np.random.Generator
-) -> McDecision:
-    """Fixed-K approximate permutation test of one table."""
-    splits = sample_splits(v, obs.design, rng, cfg.k)
-    hits = extreme_counts(v, obs, splits)
-    return McDecision(hits >= cfg.accept_count, hits)
+def mc_test(cfg: McConfig, v: CountVector, obs: ObservedCounts, rng: np.random.Generator) -> int:
+    """Fixed-K approximate permutation test of one table: how many of its
+    ``cfg.k`` samples are extreme.  The table is accepted when the count
+    reaches ``cfg.accept_count``."""
+    return extreme_counts(v, obs, sample_splits(v, obs.design, rng, cfg.k))
 
 
 def _hoeffding_k(eps: float, n: int, tests: Callable[[int], float]) -> int:
@@ -207,24 +199,18 @@ class McTester:
     def __init__(self, cfg: McConfig, obs: ObservedCounts) -> None:
         self.cfg = cfg
         self.obs = obs
+        self.alpha = alpha_fraction(cfg.alpha)
 
     def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool:
         if key is None:
             raise ValidationError("Monte Carlo tester requires a test-site key")
         rng = substream(self.cfg.seed, key, self.obs.n)
-        return mc_test(self.cfg, v, self.obs, rng).accept
-
-
-@dataclass(frozen=True)
-class McSearchResult:
-    interval: Interval
-    tests: int
-    samples_drawn: int
+        return mc_test(self.cfg, v, self.obs, rng) >= self.cfg.accept_count
 
 
 def mc_interval_balanced(
     cfg: McConfig, obs: ObservedCounts, threads: int = 1
-) -> McSearchResult:
+) -> IntervalResult:
     """Monte Carlo interval for equal group sizes.
 
     The exact search with `mc_test` substituted per site; deterministic
@@ -234,4 +220,4 @@ def mc_interval_balanced(
     if not d.balanced:
         raise ValidationError("mc_interval_balanced requires equal group sizes")
     res = fast_interval_balanced(cfg.alpha, obs, tester=McTester(cfg, obs), threads=threads)
-    return McSearchResult(res.interval, res.tests, res.tests * cfg.k)
+    return replace(res, samples_drawn=res.tests * cfg.k)

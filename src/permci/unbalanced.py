@@ -31,8 +31,6 @@ A table costs about 5-13 µs at n = 24 and 40 µs at n = 60 (2-vCPU host).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -40,6 +38,7 @@ from .core import (
     CountVector,
     Design,
     Interval,
+    IntervalResult,
     ObservedCounts,
     ValidationError,
     alpha_fraction,
@@ -116,24 +115,12 @@ def required_k_unbalanced(eps: float, n: int) -> int:
     return _hoeffding_k(eps, n, lambda n: 4 * n**3)
 
 
-@dataclass(frozen=True)
-class UnbalancedResult:
-    interval: Interval
-    base_tests: int
-    line_points: int
-
-    @property
-    def tests(self) -> int:
-        """Every tested table: base tests plus line points."""
-        return self.base_tests + self.line_points
-
-
 def unbalanced_interval(
     obs: ObservedCounts,
     alpha: float | None = None,
     mode: str = "exact",
     cfg: McConfig | None = None,
-) -> UnbalancedResult:
+) -> IntervalResult:
     """Interval for any design via linear endpoint searches.
 
     ``mode="exact"`` requires ``alpha`` and evaluates every line point with
@@ -164,11 +151,13 @@ def unbalanced_interval(
     effects = c_set(obs)
     upper = first(reversed(effects))
     if upper is None:
-        return UnbalancedResult(Interval.empty(), counters["base"], counters["line"])
-    # `upper` itself is known compatible, so the ascending search stops below it.
-    lower = first(range(effects[0], upper))
-    interval = Interval.from_scaled(upper if lower is None else lower, upper, obs.n)
-    return UnbalancedResult(interval, counters["base"], counters["line"])
+        interval = Interval.empty()
+    else:
+        # `upper` itself is known compatible, so the ascending search stops below it.
+        lower = first(range(effects[0], upper))
+        interval = Interval.from_scaled(upper if lower is None else lower, upper, obs.n)
+    tests = counters["base"] + counters["line"]
+    return IntervalResult(interval, f"general-{mode}", tests, counters["line"])
 
 
 def _block_widths(n: int, m: int) -> tuple[int, int]:

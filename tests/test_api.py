@@ -1,22 +1,34 @@
 import pytest
 
-from permci.core import ObservedCounts, ValidationError
+from permci.core import IntervalResult, ObservedCounts, ValidationError
 from permci.api import RATIONAL_MAX_N, interval, required_k
 from permci.balanced import fast_interval_balanced
 from permci.baseline import enumerated_interval
 from permci.exactdist import ExactTester
+from permci.missing import MaskedCounts, missing_interval
 from permci.montecarlo import McConfig, mc_interval_balanced, required_k_balanced
 from permci.unbalanced import required_k_unbalanced, unbalanced_interval
+
+CFG = McConfig(alpha=0.03, eps=0.02, k=500, seed=7)
+
+
+def check(res, direct, obs, method, scaled, tests, line_points=0, samples_drawn=0):
+    """``interval`` returned the construction's own result, field for field,
+    with the method, endpoints and counts pinned."""
+    assert type(res) is type(direct) is IntervalResult
+    assert res == direct
+    assert res.method == method
+    assert res.interval.scaled(obs.n) == scaled
+    assert (res.tests, res.line_points, res.samples_drawn) == (tests, line_points, samples_drawn)
+    assert res.base_tests + res.line_points == res.tests == res.tuple_tests
 
 
 def test_balanced_rational_reference_row():
     obs = ObservedCounts(2, 6, 8, 0)
     res = interval(obs, 0.05)
     direct = fast_interval_balanced(0.05, obs, tester=ExactTester(obs, 0.05, "rational"))
-    assert res.interval == direct.interval
-    assert res.interval.scaled(obs.n) == (-14, -5)
-    assert res.tests == direct.tests
-    assert res.method == "fast-balanced-exact[rational]"
+    check(res, direct, obs, "fast-balanced-exact[rational]", (-14, -5), 17)
+    assert fast_interval_balanced(0.05, obs) == direct  # the default tester
 
 
 def test_balanced_float_just_above_the_rational_limit():
@@ -25,41 +37,50 @@ def test_balanced_float_just_above_the_rational_limit():
     assert obs.n == RATIONAL_MAX_N + 2
     res = interval(obs, 0.05)
     direct = fast_interval_balanced(0.05, obs, tester=ExactTester(obs, 0.05, "float"))
-    assert res.interval == direct.interval
-    assert res.tests == direct.tests
-    assert res.method == "fast-balanced-exact[float]"
+    check(res, direct, obs, "fast-balanced-exact[float]", (-4, 25), 95)
 
 
 def test_unequal_groups_use_the_general_search():
     obs = ObservedCounts(3, 2, 6, 9)
     res = interval(obs, 0.05)
     direct = unbalanced_interval(obs, alpha=0.05, mode="exact")
-    assert res.interval == direct.interval
-    assert res.tests == direct.base_tests + direct.line_points
-    assert res.method == "general-exact"
+    check(res, direct, obs, "general-exact", (-4, 10), 42, line_points=25)
 
 
 def test_enumeration_counts_every_tuple():
-    obs = ObservedCounts(8, 4, 5, 7)
-    res = interval(obs, 0.05, "enum")
-    direct = enumerated_interval(0.05, obs)
-    assert res.interval == direct.interval
-    assert res.tests == direct.tuple_tests == 2160
-    assert res.method == "enumeration"
+    for counts, scaled, tuples in [((8, 4, 5, 7), (-3, 13), 2160), ((3, 2, 6, 9), (-4, 10), 840)]:
+        obs = ObservedCounts(*counts)
+        res = interval(obs, 0.05, "enum")
+        direct = enumerated_interval(0.05, obs)
+        check(res, direct, obs, "enumeration", scaled, tuples)
 
 
 def test_mc_matches_the_direct_constructions():
-    cfg = McConfig(alpha=0.03, eps=0.02, k=500, seed=7)
     obs = ObservedCounts(6, 4, 4, 6)
-    res = interval(obs, 0.05, "mc", cfg)
-    direct = mc_interval_balanced(cfg, obs)
-    assert (res.interval, res.tests, res.method) == (direct.interval, direct.tests, "fast-balanced-mc")
+    res = interval(obs, 0.05, "mc", CFG)
+    direct = mc_interval_balanced(CFG, obs)
+    check(res, direct, obs, "fast-balanced-mc", (-7, 11), 12, samples_drawn=12 * CFG.k)
     obs = ObservedCounts(3, 2, 6, 9)
-    res = interval(obs, 0.05, "mc", cfg)
-    direct = unbalanced_interval(obs, mode="mc", cfg=cfg)
-    assert res.interval == direct.interval
-    assert res.tests == direct.base_tests + direct.line_points
-    assert res.method == "general-mc"
+    res = interval(obs, 0.05, "mc", CFG)
+    direct = unbalanced_interval(obs, mode="mc", cfg=CFG)
+    check(res, direct, obs, "general-mc", (-6, 12), 10, line_points=4)
+
+
+@pytest.mark.parametrize(
+    "data, method, tests",
+    [
+        (MaskedCounts(2, 1, 1, 1, 1, 1), "bracketed-unbalanced", 4),
+        (MaskedCounts(2, 1, 1, 1, 2, 1), "bracketed-balanced", 12),
+    ],
+)
+def test_missing_counts_both_completions(data, method, tests):
+    res = missing_interval(0.05, data)
+    low, high = interval(data.minus, 0.05), interval(data.plus, 0.05)
+    assert type(res) is IntervalResult and res.method == method
+    assert res.tests == low.tests + high.tests == tests
+    assert res.line_points == low.line_points + high.line_points
+    assert res.base_tests + res.line_points == res.tests
+    assert res.samples_drawn == 0
 
 
 def test_required_k_follows_the_design():

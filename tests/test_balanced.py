@@ -16,6 +16,7 @@ from permci import exactdist
 from permci.api import interval
 from permci.exactdist import ExactTester, exact_pvalue
 from permci.feasibility import family_vector, feasible_v10_range
+from permci.montecarlo import McConfig, McTester
 
 from _oracles import all_count_vectors, all_observed
 from test_acceptance import REFERENCE_ROWS
@@ -150,6 +151,21 @@ def test_length_bound_small():
 def test_rejects_unbalanced():
     with pytest.raises(ValidationError):
         fast_interval_balanced(0.05, ObservedCounts(1, 0, 1, 1))
+
+
+def test_tester_for_other_counts_or_level_is_rejected():
+    # Each mismatch gave a wrong interval silently: the empty one for the
+    # mirrored counts, [-13/16, -5/8] for level 0.5; the right one is [-7/8, -5/16].
+    obs = ObservedCounts(2, 6, 8, 0)
+    for tester in (ExactTester(ObservedCounts(8, 0, 2, 6), 0.05), ExactTester(obs, 0.5)):
+        with pytest.raises(ValidationError, match="tester decides for"):
+            fast_interval_balanced(0.05, obs, tester=tester)
+    cfg = McConfig(alpha=0.05, eps=0.01, k=100, seed=1)
+    with pytest.raises(ValidationError, match="tester decides for"):
+        fast_interval_balanced(0.04, obs, tester=McTester(cfg, obs))
+    assert fast_interval_balanced(0.05, obs, ExactTester(obs, 0.05)).interval.scaled(16) == (-14, -5)
+    # A tester without `obs` is taken as it is.
+    assert fast_interval_balanced(0.05, obs, tester=RejectAll()).interval.is_empty
 
 
 def test_monotone_step_direction_small():

@@ -116,8 +116,9 @@ def test_pvalue_matches_assignment_enumeration():
                 n01 = rng.randrange(n - m + 1)
                 obs = ObservedCounts(n11, m - n11, n01, n - m - n01)
                 assert exact_pvalue(v, obs) == assignment_pvalue(v, obs)
-                f = exact_pvalue(v, obs, mode="float")
-                assert abs(f - float(assignment_pvalue(v, obs))) < 1e-12
+                if 2 * m == n:  # float mode takes equal groups only
+                    f = exact_pvalue(v, obs, mode="float")
+                    assert abs(f - float(assignment_pvalue(v, obs))) < 1e-12
 
 
 def test_copas_term_examples():

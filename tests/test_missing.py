@@ -71,8 +71,8 @@ def test_unbalanced_adjustment_contains_both_estimates():
     data = MaskedCounts(2, 1, 1, 1, 1, 1)  # 4 treated vs 3 controls
     res = missing_interval(0.05, data)
     assert res.method == "bracketed-unbalanced"
-    assert res.interval.contains(neyman(res.plus).fraction)
-    assert res.interval.contains(neyman(res.minus).fraction)
+    assert res.interval.contains(neyman(data.plus).fraction)
+    assert res.interval.contains(neyman(data.minus).fraction)
 
 
 def test_masked_counts_from_split_hand_case():

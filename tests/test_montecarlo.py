@@ -10,6 +10,7 @@ from permci.exactdist import exact_pvalue
 from permci.montecarlo import (
     MC_MAX_K,
     McConfig,
+    McTester,
     mc_interval_balanced,
     mc_test,
     required_k_balanced,
@@ -88,11 +89,13 @@ def test_mc_test_trivial_cases():
     cfg = McConfig(alpha=0.1, eps=0.05, k=500, seed=4)
     # effect equal to the estimate: every sample is at least as extreme
     witness = CountVector(0, obs.n11 + obs.n00, obs.n10 + obs.n01, 0)
-    dec = mc_test(cfg, witness, obs, substream(4, (0, 0, 0), 4))
-    assert dec.accept and dec.hits == cfg.k
+    assert mc_test(cfg, witness, obs, substream(4, (0, 0, 0), 4)) == cfg.k
     # degenerate table with effect 0 but nonzero observed gap: never extreme
-    dec = mc_test(cfg, CountVector(4, 0, 0, 0), obs, substream(4, (0, 1, 0), 4))
-    assert not dec.accept and dec.hits == 0
+    degenerate = CountVector(4, 0, 0, 0)
+    assert mc_test(cfg, degenerate, obs, substream(4, (0, 1, 0), 4)) == 0
+    # The tester draws from the same substreams and accepts at cfg.accept_count.
+    tester = McTester(cfg, obs)
+    assert tester.decide(witness, (0, 0, 0)) and not tester.decide(degenerate, (0, 1, 0))
 
 
 def test_mc_decision_agreement_rate():
@@ -120,7 +123,7 @@ def test_mc_decision_agreement_rate():
         mismatches = 0
         for rep in range(reps):
             rng = substream(rep, (1, 0, 0), 8)
-            if mc_test(cfg, v, obs, rng).accept != exact_decision:
+            if (mc_test(cfg, v, obs, rng) >= cfg.accept_count) != exact_decision:
                 mismatches += 1
         assert mismatches / reps <= bound + margin, (v.astuple(), mismatches)
 
@@ -136,8 +139,8 @@ def test_hoeffding_envelope_on_s():
     margin = 3 * math.sqrt(bound * (1 - bound) / reps)
     exceed = 0
     for rep in range(reps):
-        dec = mc_test(cfg, v, obs, substream(rep, (2, 0, 0), 8))
-        if abs(dec.hits / k - p) > eps:
+        hits = mc_test(cfg, v, obs, substream(rep, (2, 0, 0), 8))
+        if abs(hits / k - p) > eps:
             exceed += 1
     assert exceed / reps <= bound + margin, (exceed, bound)
 

@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 
 from permci.core import CountVector, ObservedCounts, ValidationError
-from permci.exactdist import ExactTester, _binomials, _extreme_counts, extreme_cut, split_weights
+from permci.exactdist import (
+    ExactTester,
+    _binomials,
+    _extreme_counts,
+    exact_pvalue,
+    extreme_cut,
+    split_weights,
+)
 
 from _oracles import all_count_vectors, all_observed
 
@@ -117,6 +124,9 @@ def test_decide_block_equals_decide_at_the_level_itself():
 
 
 def test_float_blocks_need_equal_groups():
-    tester = ExactTester(ObservedCounts(1, 2, 3, 4), 0.05, "float")
-    with pytest.raises(ValidationError):
-        tester.decide_block(rows([CountVector(2, 3, 3, 2)]))
+    obs, v = ObservedCounts(1, 2, 3, 4), CountVector(2, 3, 3, 2)
+    tester = ExactTester(obs, 0.05, "float")
+    for call in (lambda: tester.decide_block(rows([v])), lambda: tester.decide(v),
+                 lambda: exact_pvalue(v, obs, "float")):
+        with pytest.raises(ValidationError, match="equal groups"):
+            call()
