@@ -10,17 +10,19 @@ construction and its arithmetic:
 - ``"enum"``: the enumeration construction, for any design.
 
 Every construction returns the one `IntervalResult`, with its own
-``method``; this module only picks the construction.
+``method``; this module only picks the construction.  `exact_search` hands
+out the endpoint searches an exact interval is built from, for callers that
+need one endpoint of it.
 """
 
 from __future__ import annotations
 
 from .core import IntervalResult, ObservedCounts, ValidationError
-from .balanced import fast_interval_balanced
+from .balanced import BalancedSearch, fast_interval_balanced
 from .baseline import enumerated_interval
 from .exactdist import ExactTester
 from .montecarlo import McConfig, mc_interval_balanced, required_k_balanced
-from .unbalanced import required_k_unbalanced, unbalanced_interval
+from .unbalanced import GeneralSearch, required_k_unbalanced, unbalanced_interval
 
 #: Largest n whose balanced exact p-values are computed in rational
 #: arithmetic; above it the float kernel is used.
@@ -32,6 +34,20 @@ def required_k(eps: float, obs: ObservedCounts) -> int:
     general-design rule otherwise."""
     rule = required_k_balanced if obs.design.balanced else required_k_unbalanced
     return rule(eps, obs.n)
+
+
+def _balanced_tester(obs: ObservedCounts, alpha: float) -> ExactTester:
+    return ExactTester(obs, alpha, "rational" if obs.n <= RATIONAL_MAX_N else "float")
+
+
+def exact_search(obs: ObservedCounts, alpha: float) -> BalancedSearch | GeneralSearch:
+    """The endpoint searches the ``"exact"`` interval of ``obs`` is built
+    from, by the same construction and arithmetic.  Its ``lower()`` and
+    ``upper()`` each run one endpoint's search; ``tests`` and
+    ``line_points`` count the searches run."""
+    if obs.design.balanced:
+        return BalancedSearch(obs, _balanced_tester(obs, alpha))
+    return GeneralSearch(obs, tester=ExactTester(obs, alpha))
 
 
 def interval(
@@ -50,8 +66,7 @@ def interval(
     balanced = obs.design.balanced
     if method == "exact":
         if balanced:
-            arithmetic = "rational" if obs.n <= RATIONAL_MAX_N else "float"
-            return fast_interval_balanced(alpha, obs, tester=ExactTester(obs, alpha, arithmetic))
+            return fast_interval_balanced(alpha, obs, tester=_balanced_tester(obs, alpha))
         return unbalanced_interval(obs, alpha=alpha, mode="exact")
     if method == "mc":
         if cfg is None:

@@ -20,7 +20,7 @@ Two ingredients:
    `ExactTester` decides slices of `float_block(n)` of them, each with one
    kernel call (`ExactTester.decide_block`); rational testers decide them
    one at a time as the scan reaches them, and Monte Carlo testers one at a
-   time or in blocks of ``2 * threads`` on a thread pool.  Decisions past
+   time or in blocks of ``threads`` on a thread pool.  Decisions past
    the first acceptance are discarded, so the tests counted are the same in
    every case.
 
@@ -29,7 +29,9 @@ Two ingredients:
    bisecting ``[n*T, max]`` of the attainable range with the incompatibility
    indicator as a step function, and the lower endpoint by the mirrored
    search below ``n*T``.  Evaluations are memoized per effect so endpoint
-   re-checks never re-run permutation tests.
+   re-checks never re-run permutation tests.  The two searches are the
+   methods of one `BalancedSearch`; a caller that needs one endpoint only
+   runs that search alone.
 
 Total: at most ``4 n log2(n)`` permutation tests for ``n >= 15``.
 """
@@ -165,6 +167,61 @@ def _scaled_estimate(obs: ObservedCounts) -> int:
     return 2 * (obs.n11 - obs.n01)
 
 
+class BalancedSearch:
+    """The two endpoint searches of the balanced construction over one
+    memoized compatibility scan (`is_compatible_balanced`): no effect is
+    scanned twice, and ``tests`` sums the scans run so far.
+
+    The accepted effects form an interval containing the scaled estimate
+    ``n*T``, so `upper` bisects ``[n*T, max]`` of the attainable range with
+    the incompatibility indicator as a step function, and `lower` the
+    mirrored range below ``n*T``.  Either is None when ``n*T`` itself is
+    incompatible, possible only with a noisy tester.  Each search alone
+    runs only the scans of its own endpoint.
+    """
+
+    line_points = 0  # general-design line points; the balanced scan has none
+
+    def __init__(
+        self,
+        obs: ObservedCounts,
+        tester: TableTester,
+        pool: ThreadPoolExecutor | None = None,
+        width: int = 1,
+    ):
+        self.obs, self.tester, self.pool, self.width = obs, tester, pool, width
+        self.tests = 0
+        self._memo: dict[int, bool] = {}
+        self._anchor = _scaled_estimate(obs)
+        effects = c_set(obs)
+        if self._anchor not in effects:
+            raise ValidationError("internal: estimate outside attainable effects")
+        self._ends = effects[0], effects[-1]
+
+    def compatible(self, s: int) -> bool:
+        got = self._memo.get(s)
+        if got is None:
+            outcome = is_compatible_balanced(s, self.obs, self.tester, self.pool, self.width)
+            self._memo[s] = got = outcome.compatible
+            self.tests += outcome.tests
+        return got
+
+    def upper(self) -> int | None:
+        return self._end(1, self._ends[1])
+
+    def lower(self) -> int | None:
+        return self._end(-1, self._ends[0])
+
+    def _end(self, sign: int, far: int) -> int | None:
+        """The compatible effect farthest from ``n*T`` toward ``far``,
+        bisected on the effects multiplied by ``sign``."""
+        anchor = self._anchor
+        if anchor == far:
+            return anchor if self.compatible(anchor) else None
+        end = binary_search(lambda x: 0 if self.compatible(sign * x) else 1, sign * anchor, sign * far)
+        return sign * end if end >= sign * anchor else None
+
+
 def fast_interval_balanced(
     alpha: float,
     obs: ObservedCounts,
@@ -177,7 +234,7 @@ def fast_interval_balanced(
     tester; a Monte Carlo tester yields the approximate variant with the same
     control flow.  A tester that carries ``obs`` must have been built for
     these counts at this level.  With ``threads > 1`` each scan decides its
-    sites in blocks of ``2 * threads`` on a pool of that many threads; the
+    sites in blocks of ``threads`` on a pool of that many threads; the
     interval and the test count do not depend on ``threads``.  The result of
     an exact run always contains the point estimate; with a noisy tester the
     two endpoint searches can in principle cross, in which case the empty
@@ -199,38 +256,10 @@ def fast_interval_balanced(
     else:
         method = "fast-balanced-mc"
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        total_tests = 0
-        memo: dict[int, bool] = {}
-
-        def compatible(s: int) -> bool:
-            nonlocal total_tests
-            got = memo.get(s)
-            if got is None:
-                outcome = is_compatible_balanced(s, obs, tester, pool, 2 * threads)
-                memo[s] = got = outcome.compatible
-                total_tests += outcome.tests
-            return got
-
-        anchor = _scaled_estimate(obs)
-        c_range = c_set(obs)
-        if anchor not in c_range:
-            raise ValidationError("internal: estimate outside attainable effects")
-
-        smin, smax = c_range[0], c_range[-1]
-        if anchor == smax:
-            upper = anchor if compatible(anchor) else None
-        else:
-            upper = binary_search(lambda x: 0 if compatible(x) else 1, anchor, smax)
-            if upper < anchor:
-                upper = None
-        if anchor == smin:
-            lower = anchor if compatible(anchor) else None
-        else:
-            mirrored = binary_search(lambda y: 0 if compatible(-y) else 1, -anchor, -smin)
-            lower = -mirrored if mirrored >= -anchor else None
-
-        if upper is None or lower is None:
-            interval = Interval.empty()
-        else:
-            interval = Interval.from_scaled(lower, upper, obs.n)
-        return IntervalResult(interval, method, total_tests)
+        search = BalancedSearch(obs, tester, pool, threads)
+        upper, lower = search.upper(), search.lower()
+    if upper is None or lower is None:
+        interval = Interval.empty()
+    else:
+        interval = Interval.from_scaled(lower, upper, obs.n)
+    return IntervalResult(interval, method, search.tests)

@@ -10,26 +10,39 @@ tuple-to-table map is not injective; each distinct table is tested once,
 while the reported test count still counts every tuple so that the cost of
 the enumeration is stated honestly.
 
+The tuples are one open `np.ix_` grid, mapped to tables by the imputation
+formula as column arithmetic (`imputation_tables`); the distinct tables are
+decided by the integer kernel (`ExactTester.decide_block`), a slice at a
+time, each slice as wide as the general-design search's widest block.
+
 Works for any group sizes.  This module exists for correctness, not speed.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
 
-from .core import CountVector, Interval, IntervalResult, ObservedCounts
+import numpy as np
+
+from .core import Interval, IntervalResult, ObservedCounts
 from .exactdist import ExactTester
+from .unbalanced import _block_widths
 
 
-def imputation_vector(obs: ObservedCounts, i: int, j: int, k: int, l: int) -> CountVector:
-    """Table obtained by imputing ``i, j, k, l`` hidden 1-outcomes per cell."""
-    return CountVector(
-        i + k,
-        obs.n11 - i + l,
-        obs.n01 - k + j,
-        obs.n10 + obs.n00 - j - l,
-    )
+def imputation_tables(obs: ObservedCounts) -> np.ndarray:
+    """The distinct tables of the imputation tuples ``(i, j, k, l)``, hidden
+    1-outcomes imputed in the cells ``n11, n10, n01, n00``, as a ``(D, 4)``
+    int64 array.
+
+    A table is fixed by ``(v11, v10, v01)``, since its counts sum to n, so
+    each tuple maps to one integer key, computed on the open `np.ix_` grid
+    as column arithmetic: one int64 per tuple is the largest temporary.
+    """
+    n = obs.n
+    i, j, k, l = np.ix_(*(np.arange(c + 1, dtype=np.int64) for c in obs.astuple()))
+    key = np.unique(((i + k) * (n + 1) + obs.n11 - i + l) * (n + 1) + obs.n01 - k + j)
+    v11, v10, v01 = key // (n + 1) ** 2, key // (n + 1) % (n + 1), key % (n + 1)
+    return np.stack((v11, v10, v01, n - v11 - v10 - v01), axis=1)
 
 
 def enumerated_interval(alpha: float, obs: ObservedCounts) -> IntervalResult:
@@ -41,11 +54,14 @@ def enumerated_interval(alpha: float, obs: ObservedCounts) -> IntervalResult:
     compared against in general.
     """
     tester = ExactTester(obs, alpha)
-    cells = [range(c + 1) for c in obs.astuple()]
-    tables = {imputation_vector(obs, *t) for t in product(*cells)}
-    accepted = [v.v10 - v.v01 for v in tables if tester.decide(v)]
-    if accepted:
-        interval = Interval.from_scaled(min(accepted), max(accepted), obs.n)
+    tables = imputation_tables(obs)
+    width = _block_widths(obs.n, obs.m)[1]
+    accepted = np.concatenate(
+        [tester.decide_block(tables[at : at + width]) for at in range(0, len(tables), width)]
+    )
+    effects = tables[accepted, 1] - tables[accepted, 2]
+    if effects.size:
+        interval = Interval.from_scaled(int(effects.min()), int(effects.max()), obs.n)
     else:
         interval = Interval.empty()
-    return IntervalResult(interval, "enumeration", math.prod(map(len, cells)))
+    return IntervalResult(interval, "enumeration", math.prod(c + 1 for c in obs.astuple()))

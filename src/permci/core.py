@@ -228,7 +228,8 @@ class IntervalResult:
     ``tests`` counts every tested table: the scans' tests for equal groups,
     base tests plus ``line_points`` for the general design, and imputation
     tuples for the enumeration.  ``samples_drawn`` is ``tests * k`` for the
-    balanced Monte Carlo search and 0 for every other construction.
+    balanced Monte Carlo search, ``base_tests * k`` for the general-design
+    one, and 0 for every other construction.
     """
 
     interval: Interval

@@ -165,6 +165,8 @@ def _extreme_counts(tables: np.ndarray, obs: ObservedCounts) -> np.ndarray:
     every ``(x11, x10)`` cell.  In int64 every operation on counts is exact
     modulo ``2^64`` and each count is below ``2^63``, so wrapped
     intermediates leave the result exact."""
+    if not len(tables):
+        return np.zeros(0, np.int64)
     n, m = obs.n, obs.m
     comb = _binomials(n, m)
     v11, v10, v01, v00 = tables.T[:, :, None, None]
@@ -310,6 +312,8 @@ def _float_pvalues(tables: np.ndarray, obs: ObservedCounts) -> np.ndarray:
     summed in order, so the zeros that pad it change no bit."""
     if not obs.design.balanced:
         raise ValidationError("float mode needs equal groups; use rational mode")
+    if not len(tables):
+        return np.zeros(0)
     weights, hits = _float_grid(tables, obs)
     totals = np.concatenate((hits, weights)).cumsum(axis=1)[:, -1]
     return totals[: len(tables)] / totals[len(tables) :]
@@ -366,7 +370,7 @@ class ExactTester:
         """Decisions on a ``(B, 4)`` int64 array of tables, in order, from
         one kernel call, the same as `decide` on each: in rational mode
         `_extreme_counts` for any design, in float mode `_float_pvalues`
-        for equal groups."""
+        for equal groups.  An empty ``(0, 4)`` block has no decisions."""
         if self.mode == "rational":
             return _extreme_counts(tables, self.obs) >= self._threshold
         return _float_pvalues(tables, self.obs) >= self._alpha_float - FLOAT_P_TOL

@@ -13,10 +13,12 @@ interval from the lower endpoint of the pessimistic imputation to the upper
 endpoint of the optimistic one therefore contains every interval a complete
 data set could have produced, and inherits the coverage guarantee.
 
-For equal group sizes the two endpoints are taken directly from the fast
-search.  With unequal groups the complete-data interval need not contain its
-own point estimate, so each endpoint is additionally clamped by the relevant
-imputation's estimate, which can land off the 1/n lattice.
+Only those two endpoints are computed: the lower endpoint search runs on
+the pessimistic completion and the upper one on the optimistic completion,
+and the other two searches never run.  With unequal groups the
+complete-data interval need not contain its own point estimate, so each
+endpoint is additionally clamped by the relevant imputation's estimate,
+which can land off the 1/n lattice; for equal groups the clamp never binds.
 
 An odd-sized experiment can be analyzed on the fast balanced path by
 adding one fictitious subject with an unrecorded outcome to the smaller
@@ -27,9 +29,10 @@ subjects.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, replace
+from fractions import Fraction
 
 from .core import Interval, IntervalResult, ObservedCounts, ValidationError, neyman
-from .api import interval
+from .api import exact_search
 
 
 @dataclass(frozen=True)
@@ -79,24 +82,21 @@ class MaskedCounts:
 
 
 def missing_interval(alpha: float, data: MaskedCounts) -> IntervalResult:
-    """Bracketing interval valid under arbitrary missingness.  Its counts
-    are the sums of those of the two completions' exact intervals."""
-    plus, minus = data.plus, data.minus
-    low, high = interval(minus, alpha), interval(plus, alpha)
-    lower_iv, upper_iv = low.interval, high.interval
-    if plus.design.balanced:
-        lower = lower_iv.lower
-        upper = upper_iv.upper
-        method = "bracketed-balanced"
-    else:
-        # With unequal groups the complete-data interval can in principle
-        # exclude its own estimate; clamping by the imputed estimates
-        # restores the bracketing argument.
-        t_minus = neyman(minus).fraction
-        t_plus = neyman(plus).fraction
-        lower = t_minus if lower_iv.is_empty else min(lower_iv.lower, t_minus)
-        upper = t_plus if upper_iv.is_empty else max(upper_iv.upper, t_plus)
-        method = "bracketed-unbalanced"
+    """Bracketing interval valid under arbitrary missingness: the lower
+    endpoint search of the pessimistic completion's exact interval and the
+    upper one of the optimistic completion's (`exact_search`).  Its counts
+    are the sums over those two searches."""
+    minus, plus = data.minus, data.plus
+    low, high = exact_search(minus, alpha), exact_search(plus, alpha)
+    lower, upper = low.lower(), high.upper()
+    # With unequal groups the complete-data interval can in principle
+    # exclude its own estimate; clamping by the imputed estimates restores
+    # the bracketing argument.  The fast search's interval always contains
+    # its estimate, so for equal groups the clamp never binds.
+    t_minus, t_plus = neyman(minus).fraction, neyman(plus).fraction
+    lower = t_minus if lower is None else min(Fraction(lower, data.n), t_minus)
+    upper = t_plus if upper is None else max(Fraction(upper, data.n), t_plus)
+    method = "bracketed-balanced" if plus.design.balanced else "bracketed-unbalanced"
     tests, line_points = low.tests + high.tests, low.line_points + high.line_points
     return IntervalResult(Interval(lower, upper), method, tests, line_points)
 

@@ -5,8 +5,8 @@ accepted effects forming an interval around the estimate, and the p-value
 monotonicity along ``(+1, -1, -1, +1)`` — are no longer available.  The
 construction here instead does a descending linear search for the upper
 endpoint from the top of the attainable effect range (and an ascending one
-for the lower endpoint), still touching only ``O(n^2)`` tested tables per
-endpoint:
+for the lower endpoint, the two searches of one `GeneralSearch`), still
+touching only ``O(n^2)`` tested tables per endpoint:
 
 For a candidate effect and each ``j``, the feasible tables form a line
 
@@ -41,7 +41,6 @@ from .core import (
     IntervalResult,
     ObservedCounts,
     ValidationError,
-    alpha_fraction,
     c_set,
 )
 from .exactdist import ExactTester, extreme_cut, split_num
@@ -115,6 +114,48 @@ def required_k_unbalanced(eps: float, n: int) -> int:
     return _hoeffding_k(eps, n, lambda n: 4 * n**3)
 
 
+class GeneralSearch:
+    """The two endpoint searches of the general-design construction: walks
+    over the attainable effects, descending from the top for `upper` and
+    ascending from the bottom for `lower`, each stopping at its first
+    compatible effect.  Exact with a ``tester`` (`_compatible_exact`),
+    Monte Carlo with a ``cfg`` (`_compatible_mc`).  ``counters`` tallies
+    the base tests and line points of the walks run so far; each search
+    alone runs only the walk of its own endpoint."""
+
+    def __init__(
+        self, obs: ObservedCounts, tester: ExactTester | None = None, cfg: McConfig | None = None
+    ):
+        self.obs, self.tester, self.cfg = obs, tester, cfg
+        self.counters = {"base": 0, "line": 0}
+        self._effects = c_set(obs)
+        self._upper: int | None = None
+
+    @property
+    def tests(self) -> int:
+        return self.counters["base"] + self.counters["line"]
+
+    @property
+    def line_points(self) -> int:
+        return self.counters["line"]
+
+    def _first(self, effects) -> int | None:
+        if self.tester is not None:
+            return _compatible_exact(effects, self.obs, self.tester, self.counters)
+        return next((s for s in effects if _compatible_mc(s, self.obs, self.cfg, self.counters)), None)
+
+    def upper(self) -> int | None:
+        self._upper = self._first(reversed(self._effects))
+        return self._upper
+
+    def lower(self) -> int | None:
+        """The smallest compatible effect, or None.  Once `upper` has found
+        a compatible effect, the walk ends below it."""
+        known, effects = self._upper, self._effects
+        found = self._first(range(effects[0], effects[-1] + 1 if known is None else known))
+        return known if found is None else found
+
+
 def unbalanced_interval(
     obs: ObservedCounts,
     alpha: float | None = None,
@@ -126,38 +167,28 @@ def unbalanced_interval(
     ``mode="exact"`` requires ``alpha`` and evaluates every line point with
     an exact p-value.  ``mode="mc"`` requires ``cfg`` and runs Monte Carlo
     base tests with sample reuse along lines; deterministic given
-    ``(cfg.seed, obs)``.  Returns the empty interval when no attainable
-    effect is compatible (possible in principle, and with Monte Carlo noise).
+    ``(cfg.seed, obs)``, and each base test draws ``cfg.k`` samples.
+    Returns the empty interval when no attainable effect is compatible
+    (possible in principle, and with Monte Carlo noise).
     """
     if mode == "exact":
         if alpha is None:
             raise ValidationError("exact mode requires alpha")
-        alpha_fraction(alpha)
+        search = GeneralSearch(obs, tester=ExactTester(obs, alpha))
     elif mode == "mc":
         if cfg is None:
             raise ValidationError("mc mode requires an McConfig")
-        alpha = cfg.alpha
+        search = GeneralSearch(obs, cfg=cfg)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
 
-    tester = ExactTester(obs, alpha) if mode == "exact" else None
-    counters = {"base": 0, "line": 0}
-
-    def first(effects) -> int | None:
-        if mode == "exact":
-            return _compatible_exact(effects, obs, tester, counters)
-        return next((s for s in effects if _compatible_mc(s, obs, cfg, counters)), None)
-
-    effects = c_set(obs)
-    upper = first(reversed(effects))
+    upper = search.upper()
     if upper is None:
         interval = Interval.empty()
     else:
-        # `upper` itself is known compatible, so the ascending search stops below it.
-        lower = first(range(effects[0], upper))
-        interval = Interval.from_scaled(upper if lower is None else lower, upper, obs.n)
-    tests = counters["base"] + counters["line"]
-    return IntervalResult(interval, f"general-{mode}", tests, counters["line"])
+        interval = Interval.from_scaled(search.lower(), upper, obs.n)
+    samples = search.counters["base"] * cfg.k if mode == "mc" else 0
+    return IntervalResult(interval, f"general-{mode}", search.tests, search.line_points, samples)
 
 
 def _block_widths(n: int, m: int) -> tuple[int, int]:

@@ -6,7 +6,9 @@ per-assignment forms of the Monte Carlo and line-walk machinery (one split,
 one assignment summary, one stepped summary) live here too, checked against
 the vectorized forms in the package.  So do the statistic's full
 distribution (`exact_pmf`, in float mode from `split_cells`), the general
-exact search one table at a time (`walked_unbalanced`), the witness search
+exact search one table at a time (`walked_unbalanced`), the enumeration
+one distinct table at a time (`enumerated_by_decide`), the bracket of the
+two completions' full intervals (`full_bracket`), the witness search
 for possible tables, the chi-squared goodness-of-fit test, the exhaustive
 coverage harnesses, the interval-length sweep against its envelope
 (`length_bound_sweep`) and the Monte Carlo growth harness (`mc_growth`).
@@ -36,9 +38,17 @@ from permci.core import (
     ValidationError,
     alpha_fraction,
     c_set,
+    neyman,
     tau,
 )
-from permci.exactdist import _check_v_d, _log_factorials, exact_pvalue, split_num, split_weights
+from permci.exactdist import (
+    ExactTester,
+    _check_v_d,
+    _log_factorials,
+    exact_pvalue,
+    split_num,
+    split_weights,
+)
 from permci.feasibility import family_vector, feasible_v10_range
 from permci.missing import MaskedCounts, missing_interval
 from permci.montecarlo import McConfig, mc_interval_balanced, required_k_balanced, sample_splits
@@ -91,6 +101,16 @@ def all_observed(n: int, m: int) -> Iterator[ObservedCounts]:
     for n11 in range(m + 1):
         for n01 in range(n - m + 1):
             yield ObservedCounts(n11, m - n11, n01, n - m - n01)
+
+
+def all_masked(n: int, m: int) -> Iterator[MaskedCounts]:
+    """Every masked data set with ``m`` of ``n`` subjects treated."""
+    for ones_t, zeros_t in itertools.product(range(m + 1), repeat=2):
+        for ones_c, zeros_c in itertools.product(range(n - m + 1), repeat=2):
+            if ones_t + zeros_t <= m and ones_c + zeros_c <= n - m:
+                yield MaskedCounts(
+                    ones_t, zeros_t, m - ones_t - zeros_t, ones_c, zeros_c, n - m - ones_c - zeros_c
+                )
 
 
 def possible_vectors(obs: ObservedCounts) -> set[tuple[int, int, int, int]]:
@@ -262,6 +282,35 @@ def walked_unbalanced(obs: ObservedCounts, alpha: float) -> tuple[Interval, int,
         return Interval.empty(), counters["base"], counters["line"]
     lower = next((s for s in range(effects[0], upper) if _walked_effect(s, obs, level, counters)), upper)
     return Interval.from_scaled(lower, upper, obs.n), counters["base"], counters["line"]
+
+
+def enumerated_by_decide(alpha: float, obs: ObservedCounts) -> tuple[Interval, int]:
+    """The enumeration one table at a time: ``(interval, tuples)`` from
+    every imputation tuple's table, each distinct table decided alone by
+    `ExactTester.decide` (rational `split_weights`)."""
+    tester = ExactTester(obs, alpha)
+    cells = [range(c + 1) for c in obs.astuple()]
+    tables = {
+        CountVector(i + k, obs.n11 - i + l, obs.n01 - k + j, obs.n10 + obs.n00 - j - l)
+        for i, j, k, l in itertools.product(*cells)
+    }
+    accepted = [v.v10 - v.v01 for v in tables if tester.decide(v)]
+    iv = Interval.from_scaled(min(accepted), max(accepted), obs.n) if accepted else Interval.empty()
+    return iv, math.prod(map(len, cells))
+
+
+def full_bracket(alpha: float, data: MaskedCounts) -> tuple[Interval, str]:
+    """The bracketing interval from the two completions' full exact
+    intervals: ``(interval, method)``.  Equal groups take the lower end of
+    the pessimistic interval and the upper end of the optimistic one; with
+    unequal groups each end is also clamped by its completion's estimate."""
+    low, high = interval(data.minus, alpha).interval, interval(data.plus, alpha).interval
+    if data.plus.design.balanced:
+        return Interval(low.lower, high.upper), "bracketed-balanced"
+    t_minus, t_plus = neyman(data.minus).fraction, neyman(data.plus).fraction
+    lower = t_minus if low.is_empty else min(low.lower, t_minus)
+    upper = t_plus if high.is_empty else max(high.upper, t_plus)
+    return Interval(lower, upper), "bracketed-unbalanced"
 
 
 @dataclass(frozen=True)

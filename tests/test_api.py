@@ -1,7 +1,7 @@
 import pytest
 
 from permci.core import IntervalResult, ObservedCounts, ValidationError
-from permci.api import RATIONAL_MAX_N, interval, required_k
+from permci.api import RATIONAL_MAX_N, exact_search, interval, required_k
 from permci.balanced import fast_interval_balanced
 from permci.baseline import enumerated_interval
 from permci.exactdist import ExactTester
@@ -63,24 +63,40 @@ def test_mc_matches_the_direct_constructions():
     obs = ObservedCounts(3, 2, 6, 9)
     res = interval(obs, 0.05, "mc", CFG)
     direct = unbalanced_interval(obs, mode="mc", cfg=CFG)
-    check(res, direct, obs, "general-mc", (-6, 12), 10, line_points=4)
+    check(res, direct, obs, "general-mc", (-6, 12), 10, line_points=4, samples_drawn=6 * CFG.k)
 
 
 @pytest.mark.parametrize(
-    "data, method, tests",
+    "data, method, tests, line_points",
     [
-        (MaskedCounts(2, 1, 1, 1, 1, 1), "bracketed-unbalanced", 4),
-        (MaskedCounts(2, 1, 1, 1, 2, 1), "bracketed-balanced", 12),
+        (MaskedCounts(2, 1, 1, 1, 1, 1), "bracketed-unbalanced", 2, 0),
+        (MaskedCounts(2, 1, 1, 1, 2, 1), "bracketed-balanced", 5, 0),
+        (MaskedCounts(3, 1, 1, 5, 7, 2), "bracketed-unbalanced", 23, 13),
     ],
 )
-def test_missing_counts_both_completions(data, method, tests):
+def test_missing_counts_both_completions(data, method, tests, line_points):
+    # The counts are those of the two endpoint searches that run: the lower
+    # one on the pessimistic completion, the upper one on the optimistic.
     res = missing_interval(0.05, data)
-    low, high = interval(data.minus, 0.05), interval(data.plus, 0.05)
+    low, high = exact_search(data.minus, 0.05), exact_search(data.plus, 0.05)
+    low.lower(), high.upper()
     assert type(res) is IntervalResult and res.method == method
     assert res.tests == low.tests + high.tests == tests
-    assert res.line_points == low.line_points + high.line_points
+    assert res.line_points == low.line_points + high.line_points == line_points
     assert res.base_tests + res.line_points == res.tests
     assert res.samples_drawn == 0
+
+
+def test_exact_search_builds_the_exact_interval():
+    # One search object's two endpoints, sharing its memo, are the
+    # interval and the counts of `interval`.
+    for counts in [(2, 6, 8, 0), (3, 2, 6, 9), (20, 14, 14, 20)]:
+        obs = ObservedCounts(*counts)
+        search = exact_search(obs, 0.05)
+        upper = search.upper()
+        res = interval(obs, 0.05)
+        assert res.interval.scaled(obs.n) == (search.lower(), upper)
+        assert (res.tests, res.line_points) == (search.tests, search.line_points)
 
 
 def test_required_k_follows_the_design():

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from permci.core import ObservedCounts, ValidationError, neyman
-from permci.baseline import enumerated_interval, imputation_vector
+from permci.baseline import enumerated_interval, imputation_tables
 
-from _oracles import all_observed, possible_vectors
+from _oracles import all_observed, enumerated_by_decide, possible_vectors
 
 
 TABLE1 = [
@@ -31,13 +32,27 @@ def test_tuple_count_is_product_formula():
 def test_imputation_tuples_cover_exactly_the_possible_tables():
     for n, m in [(6, 3), (7, 3), (5, 2)]:
         for obs in all_observed(n, m):
-            got = set()
-            for i in range(obs.n11 + 1):
-                for j in range(obs.n10 + 1):
-                    for k in range(obs.n01 + 1):
-                        for l in range(obs.n00 + 1):
-                            got.add(imputation_vector(obs, i, j, k, l).astuple())
-            assert got == possible_vectors(obs)
+            tables = imputation_tables(obs)
+            assert tables.dtype == np.int64 and tables.shape[1] == 4
+            assert (tables.sum(axis=1) == n).all()
+            rows = list(map(tuple, tables.tolist()))
+            assert len(set(rows)) == len(rows)
+            assert set(rows) == possible_vectors(obs)
+
+
+def test_block_enumeration_equals_the_table_at_a_time_one():
+    # Every observation of every design with n <= 10: the kernel-block
+    # enumeration gives the interval and the tuple count of the enumeration
+    # that decides each distinct table alone.
+    cases = 0
+    for n in range(2, 11):
+        for m in range(1, n):
+            for obs in all_observed(n, m):
+                for alpha in (0.05, 0.2):
+                    res = enumerated_interval(alpha, obs)
+                    assert (res.interval, res.tuple_tests) == enumerated_by_decide(alpha, obs), (obs, alpha)
+                    cases += 1
+    assert cases == 1740
 
 
 def test_interval_contains_estimate_balanced():

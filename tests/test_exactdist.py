@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from permci.core import CapacityError, CountVector, Design, ObservedCounts, tau
@@ -172,3 +173,11 @@ def test_exact_tester_threshold_is_exact():
     assert tester_at_p.decide(v)  # acceptance rule is p >= alpha, ties accept
     just_above = p + Fraction(1, 10**9)
     assert not ExactTester(obs, just_above).decide(v)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_empty_block_has_no_decisions(mode):
+    for counts in [(3, 3, 2, 4), (30, 40, 25, 45), (40, 60, 35, 65)]:  # int64 and Python-int binomials
+        tester = ExactTester(ObservedCounts(*counts), 0.05, mode)
+        got = tester.decide_block(np.zeros((0, 4), np.int64))
+        assert got.dtype == bool and got.shape == (0,)

@@ -7,8 +7,10 @@ from permci.balanced import fast_interval_balanced
 from permci.missing import MaskedCounts, missing_interval, pad_odd
 
 from _oracles import (
+    all_masked,
     all_observed,
     coverage_missing_exhaustive,
+    full_bracket,
     mask_treated_failures_control_successes,
     masked_counts_from_split,
 )
@@ -65,6 +67,20 @@ def test_widening_over_all_maskings_balanced_n6():
                             c1 + c0,
                         )
                         assert missing_interval(0.1, masked).interval.contains_interval(full)
+
+
+def test_endpoint_searches_equal_the_bracket_of_full_intervals():
+    # Every masked data set with n <= 8: running only the two endpoint
+    # searches gives the interval and method of bracketing the two
+    # completions' full intervals.
+    datasets = 0
+    for n in range(2, 9):
+        for m in range(1, n):
+            for data in all_masked(n, m):
+                res = missing_interval(0.1, data)
+                assert (res.interval, res.method) == full_bracket(0.1, data), data
+                datasets += 1
+    assert datasets == 2674
 
 
 def test_unbalanced_adjustment_contains_both_estimates():

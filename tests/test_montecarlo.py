@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from permci.core import CapacityError, CountVector, Design, ObservedCounts, ValidationError
+from permci import balanced
 from permci.balanced import fast_interval_balanced
 from permci.exactdist import exact_pvalue
 from permci.montecarlo import (
@@ -220,6 +221,21 @@ def test_mc_interval_thread_invariant_at_zero_effect_neighbor_sites():
     assert runs[0].interval == runs[1].interval == runs[2].interval
     assert [r.tests for r in runs] == [20, 20, 20]
     assert [r.samples_drawn for r in runs] == [40000, 40000, 40000]
+
+
+def test_mc_scan_decides_blocks_of_threads_sites(monkeypatch):
+    # One block per round of the pool: a wider block only draws sites past
+    # the first acceptance, whose decisions are discarded.
+    widths = []
+    scan = balanced.is_compatible_balanced
+    monkeypatch.setattr(
+        balanced, "is_compatible_balanced", lambda *args: widths.append(args[4]) or scan(*args)
+    )
+    cfg = McConfig(alpha=0.03, eps=0.02, k=500, seed=7)
+    for threads in (1, 2, 3):
+        widths.clear()
+        mc_interval_balanced(cfg, ObservedCounts(10, 10, 6, 14), threads=threads)
+        assert widths and set(widths) == {threads}
 
 
 @pytest.mark.parametrize(

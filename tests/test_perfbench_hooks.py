@@ -69,3 +69,19 @@ def test_probe_outputs_match_the_reference():
         assert {k: v for k, v in entry.items() if k != "expect"} == op
         out = workloads.execute(permci, op, threads=1)
         assert workloads.mismatch(out, entry["expect"]) is None, (op, out)
+
+
+def test_recorded_small_batch_ops_match_the_reference():
+    # Every recorded missing-data and mid-size CLI op of the small-batch
+    # workload reproduces its recorded interval, method and count.
+    _, workloads = load_perfbench()
+    with open(PERFBENCH / "reference.json", encoding="utf-8") as fh:
+        strata = json.load(fh)["strata"]
+    replayed = 0
+    for name in ("missing-mid", "cli-balanced-mid", "cli-unequal-mid"):
+        for entry in strata[name]:
+            op = {k: v for k, v in entry.items() if k != "expect"}
+            out = workloads.execute(permci, op, threads=1)
+            assert workloads.mismatch(out, entry["expect"]) is None, (name, op, out)
+            replayed += 1
+    assert replayed == 600
