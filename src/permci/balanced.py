@@ -16,13 +16,13 @@ Two ingredients:
    is the next site in scan order.  The scan stops at the first acceptance,
    so the neighbor counts only when its base was rejected.  At most ``n+1``
    tests decide compatibility (``2(n+1)`` when ``tau0 = 0``).  An effect's
-   sites are one int64 array from one feasibility pass (`_sites`).  A float
-   `ExactTester` decides slices of `float_block(n)` of them, each with one
-   kernel call (`ExactTester.decide_block`); rational testers decide them
-   one at a time as the scan reaches them, and Monte Carlo testers one at a
-   time or in blocks of ``threads`` on a thread pool.  Decisions past
-   the first acceptance are discarded, so the tests counted are the same in
-   every case.
+   sites are one int64 array from one feasibility pass (`_sites`), walked
+   by `first_accepted`, the walker of every exact scan, in blocks of the
+   tester's ``block``: `float_block(n)` sites per kernel call for a float
+   `ExactTester`, one per thread of its pool for a Monte Carlo tester, and
+   one at a time, as the scan reaches them, for a rational tester.
+   Decisions past the first acceptance are discarded, so the tests counted
+   are the same in every case.
 
 2. A bisection over candidate effects.  The accepted effects form an
    interval containing the point estimate, so the upper endpoint is found by
@@ -38,10 +38,7 @@ Total: at most ``4 n log2(n)`` permutation tests for ``n >= 15``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice, starmap
 from typing import Callable, Protocol
 
 import numpy as np
@@ -59,20 +56,12 @@ from .exactdist import ExactTester
 from .feasibility import feasible_rows
 
 
-def float_block(n: int) -> int:
-    """Sites a float `ExactTester` decides with one kernel call: 32, or fewer
-    where the block's ``(2B, n/2 + 1)`` float64 temporaries would pass 128 KiB
-    (n >= 512), past which a block cost more per table (n = 1000-3000, 2-vCPU
-    host).  Sites past an acceptance are wasted, so the block is no wider."""
-    return max(1, min(32, 8192 // (n // 2 + 1)))
-
-
 class TableTester(Protocol):
     """Accept/reject decision for one table; ``key`` identifies the test site
     ``(scaled tau0, j, variant)`` so seeded testers can derive substreams.
-    Implementations hold no mutable state, so a scan may call ``decide``
-    from several threads at once.  The package's testers also carry the
-    ``obs`` and the level ``alpha`` they decide for."""
+    The package's testers also carry ``obs``, ``alpha``, their intervals'
+    ``method`` (``mc`` if none) and a ``decide_block(tables, keys)`` that a
+    balanced scan hands ``block`` sites at once (one at a time if none)."""
 
     def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool: ...
 
@@ -125,41 +114,37 @@ def _sites(ntau0: int, obs: ObservedCounts) -> tuple[np.ndarray, np.ndarray]:
     return tables, np.array((np.full_like(j, ntau0), j, variant)).T
 
 
-def is_compatible_balanced(
-    ntau0: int,
-    obs: ObservedCounts,
-    tester: TableTester,
-    pool: ThreadPoolExecutor | None = None,
-    width: int = 1,
+def first_accepted(
+    tester: TableTester, tables: np.ndarray, keys: np.ndarray, scalar: int, width: int, widest: int
 ) -> ScanOutcome:
+    """Whether a site of ``tables``, a ``(S, 4)`` int64 array in scan order
+    with row-aligned ``keys``, is accepted, and the sites decided up to the
+    first acceptance: the first ``scalar`` one at a time with `decide`, the
+    rest with `decide_block` in blocks of ``width`` doubling up to
+    ``widest``.  The outcome and count are the one-at-a-time scan's."""
+    for tests, (row, key) in enumerate(zip(tables[:scalar].tolist(), keys[:scalar].tolist()), 1):
+        if tester.decide(CountVector(*row), tuple(key)):
+            return ScanOutcome(True, tests)
+    start = scalar
+    while start < len(tables):
+        stop = start + width
+        accepted = np.flatnonzero(tester.decide_block(tables[start:stop], keys[start:stop]))
+        if accepted.size:
+            return ScanOutcome(True, start + int(accepted[0]) + 1)
+        start, width = stop, min(2 * width, widest)
+    return ScanOutcome(False, len(tables))
+
+
+def is_compatible_balanced(ntau0: int, obs: ObservedCounts, tester: TableTester) -> ScanOutcome:
     """Decide whether some possible table with effect ``ntau0 / n`` is accepted.
 
-    Tests the sites in scan order and accepts at the first accepted table.
-    A float `ExactTester` decides slices of `float_block(n)` sites, each
-    with one kernel call.  Otherwise, without a ``pool`` the sites are
-    decided one at a time as the scan reaches them; with one, blocks of
-    ``width`` sites are decided concurrently.  Decisions are read in scan
-    order and those past the first acceptance are discarded, so the outcome
-    and the count equal the one-at-a-time scan's.
+    Walks the sites (`_sites`) in scan order to the first accepted table
+    (`first_accepted`), in blocks of the tester's ``block`` sites, or one at
+    a time when it states none.
     """
     tables, keys = _sites(ntau0, obs)
-    if isinstance(tester, ExactTester) and tester.mode == "float":
-        width = float_block(obs.n)
-        for start in range(0, len(tables), width):
-            accepted = np.flatnonzero(tester.decide_block(tables[start : start + width]))
-            if accepted.size:
-                return ScanOutcome(True, start + int(accepted[0]) + 1)
-        return ScanOutcome(False, len(tables))
-
-    sites = zip(starmap(CountVector, tables.tolist()), map(tuple, keys.tolist()))
-    width, each = (1, map) if pool is None else (width, pool.map)
-    tests = 0
-    while block := list(islice(sites, width)):
-        for accepted in each(lambda site: tester.decide(*site), block):
-            tests += 1
-            if accepted:
-                return ScanOutcome(True, tests)
-    return ScanOutcome(False, tests)
+    block = getattr(tester, "block", 0)
+    return first_accepted(tester, tables, keys, 0 if block else len(tables), block, block)
 
 
 def _scaled_estimate(obs: ObservedCounts) -> int:
@@ -182,14 +167,8 @@ class BalancedSearch:
 
     line_points = 0  # general-design line points; the balanced scan has none
 
-    def __init__(
-        self,
-        obs: ObservedCounts,
-        tester: TableTester,
-        pool: ThreadPoolExecutor | None = None,
-        width: int = 1,
-    ):
-        self.obs, self.tester, self.pool, self.width = obs, tester, pool, width
+    def __init__(self, obs: ObservedCounts, tester: TableTester):
+        self.obs, self.tester = obs, tester
         self.tests = 0
         self._memo: dict[int, bool] = {}
         self._anchor = _scaled_estimate(obs)
@@ -201,7 +180,7 @@ class BalancedSearch:
     def compatible(self, s: int) -> bool:
         got = self._memo.get(s)
         if got is None:
-            outcome = is_compatible_balanced(s, self.obs, self.tester, self.pool, self.width)
+            outcome = is_compatible_balanced(s, self.obs, self.tester)
             self._memo[s] = got = outcome.compatible
             self.tests += outcome.tests
         return got
@@ -226,23 +205,18 @@ def fast_interval_balanced(
     alpha: float,
     obs: ObservedCounts,
     tester: TableTester | None = None,
-    threads: int = 1,
 ) -> IntervalResult:
     """Level ``1 - alpha`` interval via bisection over candidate effects.
 
     Requires equal group sizes.  ``tester`` defaults to the exact rational
     tester; a Monte Carlo tester yields the approximate variant with the same
     control flow.  A tester that carries ``obs`` must have been built for
-    these counts at this level.  With ``threads > 1`` each scan decides its
-    sites in blocks of ``threads`` on a pool of that many threads; the
-    interval and the test count do not depend on ``threads``.  The result of
-    an exact run always contains the point estimate; with a noisy tester the
-    two endpoint searches can in principle cross, in which case the empty
-    interval is returned.
+    these counts at this level.  The result of an exact run always contains
+    the point estimate; with a noisy tester the two endpoint searches can in
+    principle cross, in which case the empty interval is returned.
     """
     level = alpha_fraction(alpha)
-    d = obs.design
-    if not d.balanced:
+    if not obs.design.balanced:
         raise ValidationError("fast_interval_balanced requires equal group sizes")
     if tester is None:
         tester = ExactTester(obs, alpha)
@@ -251,15 +225,11 @@ def fast_interval_balanced(
             f"tester decides for counts {tester.obs.astuple()} at level {float(tester.alpha):g}, "
             f"not {obs.astuple()} at {float(level):g}"
         )
-    if isinstance(tester, ExactTester):
-        method = f"fast-balanced-exact[{tester.mode}]"
-    else:
-        method = "fast-balanced-mc"
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        search = BalancedSearch(obs, tester, pool, threads)
-        upper, lower = search.upper(), search.lower()
+    search = BalancedSearch(obs, tester)
+    upper, lower = search.upper(), search.lower()
     if upper is None or lower is None:
         interval = Interval.empty()
     else:
         interval = Interval.from_scaled(lower, upper, obs.n)
+    method = "fast-balanced-" + getattr(tester, "method", "mc")
     return IntervalResult(interval, method, search.tests)

@@ -24,9 +24,13 @@ import math
 
 import numpy as np
 
-from .core import Interval, IntervalResult, ObservedCounts
+from .core import CapacityError, Interval, IntervalResult, ObservedCounts
 from .exactdist import ExactTester
 from .unbalanced import _block_widths
+
+#: Most imputation tuples `enumerated_interval` takes: one int64 key each,
+#: so 128 MiB of keys a copy, on the scale of `permci.montecarlo.MC_MAX_K`.
+ENUM_MAX_TUPLES = 2**24
 
 
 def imputation_tables(obs: ObservedCounts) -> np.ndarray:
@@ -54,6 +58,12 @@ def enumerated_interval(alpha: float, obs: ObservedCounts) -> IntervalResult:
     compared against in general.
     """
     tester = ExactTester(obs, alpha)
+    tuples = math.prod(c + 1 for c in obs.astuple())
+    if tuples > ENUM_MAX_TUPLES:
+        raise CapacityError(
+            f"the enumeration of {tuples} imputation tuples needs {8 * tuples / 2**30:.1f} GiB of "
+            f'keys, over the {8 * ENUM_MAX_TUPLES // 2**20} MiB limit; use permci exact (method="exact")'
+        )
     tables = imputation_tables(obs)
     width = _block_widths(obs.n, obs.m)[1]
     accepted = np.concatenate(
@@ -64,4 +74,4 @@ def enumerated_interval(alpha: float, obs: ObservedCounts) -> IntervalResult:
         interval = Interval.from_scaled(int(effects.min()), int(effects.max()), obs.n)
     else:
         interval = Interval.empty()
-    return IntervalResult(interval, "enumeration", math.prod(c + 1 for c in obs.astuple()))
+    return IntervalResult(interval, "enumeration", tuples)

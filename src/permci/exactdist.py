@@ -306,6 +306,14 @@ def _float_grid(tables: np.ndarray, obs: ObservedCounts) -> tuple[np.ndarray, np
     return weights, weights * ((lower + (k <= a - n1)[:, None]) + upper)
 
 
+def float_block(n: int) -> int:
+    """Sites a float `ExactTester` decides with one kernel call: 32, or fewer
+    where the block's ``(2B, n/2 + 1)`` float64 temporaries would pass 128 KiB
+    (n >= 512), past which a block cost more per table (n = 1000-3000, 2-vCPU
+    host).  Sites past an acceptance are wasted, so the block is no wider."""
+    return max(1, min(32, 8192 // (n // 2 + 1)))
+
+
 def _float_pvalues(tables: np.ndarray, obs: ObservedCounts) -> np.ndarray:
     """Float p-values of a ``(B, 4)`` int64 array of tables under equal
     groups (`_float_grid`), the only design float mode takes.  Each row is
@@ -356,6 +364,8 @@ class ExactTester:
         self.obs = obs
         self.alpha = alpha_fraction(alpha)
         self.mode = mode
+        self.method = f"exact[{mode}]"
+        self.block = float_block(obs.n) if mode == "float" else 0
         self._alpha_float = float(self.alpha)
         # The fewest extreme splits of an accepted table: ceil(alpha C(n, m)).
         self._threshold = -(-self.alpha.numerator * math.comb(obs.n, obs.m) // self.alpha.denominator)
@@ -366,11 +376,11 @@ class ExactTester:
             return p >= self.alpha
         return p >= self._alpha_float - FLOAT_P_TOL
 
-    def decide_block(self, tables: np.ndarray) -> np.ndarray:
+    def decide_block(self, tables: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
         """Decisions on a ``(B, 4)`` int64 array of tables, in order, from
         one kernel call, the same as `decide` on each: in rational mode
         `_extreme_counts` for any design, in float mode `_float_pvalues`
-        for equal groups.  An empty ``(0, 4)`` block has no decisions."""
+        for equal groups; ``keys`` is ignored.  An empty block has none."""
         if self.mode == "rational":
             return _extreme_counts(tables, self.obs) >= self._threshold
         return _float_pvalues(tables, self.obs) >= self._alpha_float - FLOAT_P_TOL

@@ -16,8 +16,8 @@ level ``alpha - eps``.
 Reproducibility: sample ``i`` of the test at site ``(tau0, j, variant)`` is
 a function of ``(seed, tau0, j, variant, i)`` alone.  Each test site derives
 its own counter-based generator, so results are bit-identical regardless of
-how many worker threads the balanced scan decides its blocks of sites on,
-and line scans can extend a site's stream without touching any other site.
+how many threads of its pool `McTester` decides a block of sites on, and
+line scans can extend a site's stream without touching any other site.
 
 Assignments are drawn as per-class treatment splits by chained hypergeometric
 draws — the same distribution as summarizing a uniformly shuffled assignment
@@ -28,8 +28,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import starmap
 from typing import Callable
 
 import numpy as np
@@ -194,12 +197,16 @@ def required_k_balanced(eps: float, n: int) -> int:
 
 
 class McTester:
-    """Seeded Monte Carlo accept/reject decisions, one substream per site."""
+    """Seeded Monte Carlo accept/reject decisions, one substream per site.
+    `decide_block` decides a block's sites on the threads of ``pool``, one
+    site per thread (`decide` changes no state), or in turn without one."""
 
-    def __init__(self, cfg: McConfig, obs: ObservedCounts) -> None:
+    def __init__(self, cfg: McConfig, obs: ObservedCounts, pool: ThreadPoolExecutor | None = None):
         self.cfg = cfg
         self.obs = obs
         self.alpha = alpha_fraction(cfg.alpha)
+        self._map = map if pool is None else pool.map
+        self.block = 1 if pool is None else pool._max_workers
 
     def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool:
         if key is None:
@@ -207,17 +214,23 @@ class McTester:
         rng = substream(self.cfg.seed, key, self.obs.n)
         return mc_test(self.cfg, v, self.obs, rng) >= self.cfg.accept_count
 
+    def decide_block(self, tables: np.ndarray, keys: np.ndarray) -> list[bool]:
+        """`decide` on each row of ``tables`` with its row of ``keys``, in order."""
+        sites = starmap(CountVector, tables.tolist()), map(tuple, keys.tolist())
+        return list(self._map(self.decide, *sites))
+
 
 def mc_interval_balanced(
     cfg: McConfig, obs: ObservedCounts, threads: int = 1
 ) -> IntervalResult:
     """Monte Carlo interval for equal group sizes.
 
-    The exact search with `mc_test` substituted per site; deterministic
-    given ``(cfg.seed, obs)`` for any thread count.
+    The exact search with `mc_test` substituted per site, each scan
+    deciding blocks of ``threads`` sites on a pool that ends with the call;
+    deterministic given ``(cfg.seed, obs)`` for any thread count.
     """
-    d = obs.design
-    if not d.balanced:
+    if not obs.design.balanced:
         raise ValidationError("mc_interval_balanced requires equal group sizes")
-    res = fast_interval_balanced(cfg.alpha, obs, tester=McTester(cfg, obs), threads=threads)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        res = fast_interval_balanced(cfg.alpha, obs, tester=McTester(cfg, obs, pool))
     return replace(res, samples_drawn=res.tests * cfg.k)

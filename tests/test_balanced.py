@@ -1,5 +1,6 @@
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from permci.balanced import (
     _sites,
     binary_search,
     fast_interval_balanced,
+    first_accepted,
     is_compatible_balanced,
 )
 from permci import exactdist
@@ -188,12 +190,15 @@ def test_monotone_step_direction_small():
     "counts,mode", [((2, 6, 8, 0), "rational"), ((20, 13, 14, 19), "float")]
 )
 def test_exact_search_thread_invariant(counts, mode):
+    # An ExactTester holds no mutable state: searches sharing one on two
+    # threads at once give the sequential result.
     obs = ObservedCounts(*counts)
     tester = ExactTester(obs, 0.05, mode)
     one = fast_interval_balanced(0.05, obs, tester=tester)
-    two = fast_interval_balanced(0.05, obs, tester=tester, threads=2)
-    assert two.interval == one.interval and not one.interval.is_empty
-    assert two.tests == one.tests
+    with ThreadPoolExecutor(2) as pool:
+        runs = list(pool.map(lambda _: fast_interval_balanced(0.05, obs, tester=tester), range(4)))
+    assert all((r.interval, r.tests) == (one.interval, one.tests) for r in runs)
+    assert not one.interval.is_empty
 
 
 def test_float_block_scan_matches_the_rational_scan():
@@ -206,9 +211,8 @@ def test_float_block_scan_matches_the_rational_scan():
         obs = ObservedCounts(n11, m - n11, n01, m - n01)
         for alpha in (0.01, 0.05, 0.2):
             want = fast_interval_balanced(alpha, obs, tester=ExactTester(obs, alpha))
-            for threads in (1, 2):
-                got = fast_interval_balanced(alpha, obs, ExactTester(obs, alpha, "float"), threads)
-                assert (got.interval, got.tests) == (want.interval, want.tests), (obs, alpha, threads)
+            got = fast_interval_balanced(alpha, obs, ExactTester(obs, alpha, "float"))
+            assert (got.interval, got.tests) == (want.interval, want.tests), (obs, alpha)
 
 
 def test_rational_scan_stays_lazy(monkeypatch):
@@ -268,3 +272,48 @@ def test_array_sites_are_the_scalar_walk():
                 assert all(type(x) is int for _, key in tester.seen for x in key)
                 neighbors += sum(key[2] for _, key in want)
     assert neighbors > 0
+
+
+class PatternTester:
+    """Accepts the sites a seeded pattern marks; records the sites `decide`
+    sees and the start and width of every `decide_block` call."""
+
+    def __init__(self, accept):
+        self.accept = accept
+        self.seen, self.blocks = [], []
+
+    def decide(self, v, key):
+        self.seen.append(key[0])
+        return self.accept[key[0]]
+
+    def decide_block(self, tables, keys):
+        self.blocks.append((int(keys[0, 0]), len(tables)))
+        return self.accept[keys[:, 0]]
+
+
+def test_walker_is_the_one_at_a_time_scan():
+    # Any split into a scalar prefix and doubling blocks gives the outcome
+    # and the count of one `decide` per site, decides exactly the prefix
+    # one at a time, and starts no block past the first acceptance.
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        size = int(rng.integers(0, 12))
+        accept = rng.random(size) < rng.choice([0.0, 0.1, 0.4])
+        tables = rng.integers(0, 9, (size, 4))
+        keys = np.stack((np.arange(size), np.zeros(size, np.int64), np.zeros(size, np.int64)), axis=1)
+        hits = np.flatnonzero(accept)
+        want = (True, int(hits[0]) + 1) if hits.size else (False, size)
+        for scalar in range(size + 2):
+            for width in (0, 1, 2, 3, size + 1):
+                if width == 0 and scalar < size:
+                    continue  # no block to walk with: every site is in the prefix
+                for widest in sorted({width, 2 * width, max(width, 5), size + 1}):
+                    tester = PatternTester(accept)
+                    got = first_accepted(tester, tables, keys, scalar, width, widest)
+                    assert (got.compatible, got.tests) == want, (accept, scalar, width, widest)
+                    assert tester.seen == list(range(min(scalar, got.tests)))
+                    assert all(start < got.tests for start, _ in tester.blocks)
+                    start = scalar  # blocks of width, doubling up to widest
+                    for i, block in enumerate(tester.blocks):
+                        assert block == (start, min(width << i, widest, size - start))
+                        start += min(width << i, widest)

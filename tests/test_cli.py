@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -129,6 +130,16 @@ def test_enum_alias_rh(capsys):
     report = json.loads(out)
     assert report["tests"] == 2160
     assert report["interval_scaled"] == [-3, 13]
+
+
+def test_enum_over_the_tuple_cap_is_an_analysis_error(capsys):
+    # 101^4 imputation tuples would need 0.8 GiB of keys; refused at once.
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "enum", "--counts", "100,100,100,100")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("analysis error: the enumeration of 104060401 imputation tuples")
+    assert "permci exact" in err
 
 
 def test_missing_file_roundtrip(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -225,17 +226,42 @@ def test_mc_interval_thread_invariant_at_zero_effect_neighbor_sites():
 
 def test_mc_scan_decides_blocks_of_threads_sites(monkeypatch):
     # One block per round of the pool: a wider block only draws sites past
-    # the first acceptance, whose decisions are discarded.
-    widths = []
-    scan = balanced.is_compatible_balanced
-    monkeypatch.setattr(
-        balanced, "is_compatible_balanced", lambda *args: widths.append(args[4]) or scan(*args)
-    )
+    # the first acceptance, whose decisions are discarded.  Each effect is
+    # scanned once, and only its last block may be short.
+    blocks = []
+    decide_block = McTester.decide_block
+
+    def record(self, tables, keys):
+        blocks.append((int(keys[0, 0]), len(tables)))
+        return decide_block(self, tables, keys)
+
+    monkeypatch.setattr(McTester, "decide_block", record)
     cfg = McConfig(alpha=0.03, eps=0.02, k=500, seed=7)
     for threads in (1, 2, 3):
-        widths.clear()
+        blocks.clear()
         mc_interval_balanced(cfg, ObservedCounts(10, 10, 6, 14), threads=threads)
-        assert widths and set(widths) == {threads}
+        per_effect = {}
+        for effect, width in blocks:
+            per_effect.setdefault(effect, []).append(width)
+        assert per_effect and max(width for _, width in blocks) == threads
+        for widths in per_effect.values():
+            assert set(widths[:-1]) <= {threads} and 1 <= widths[-1] <= threads
+
+
+def test_mc_decide_block_is_decide_on_each_site():
+    # On no pool and on pools of 2 and 3 threads, in order.
+    obs = ObservedCounts(10, 10, 6, 14)
+    cfg = McConfig(alpha=0.05, eps=0.01, k=400, seed=3)
+    tables, keys = balanced._sites(-5, obs)
+    sites = zip(tables.tolist(), keys.tolist())
+    want = [McTester(cfg, obs).decide(CountVector(*t), tuple(k)) for t, k in sites]
+    assert len(want) == 12 and want.count(True) == 3
+    assert McTester(cfg, obs).decide_block(tables, keys) == want
+    for threads in (2, 3):
+        with ThreadPoolExecutor(threads) as pool:
+            tester = McTester(cfg, obs, pool)
+            assert tester.block == threads
+            assert tester.decide_block(tables, keys) == want
 
 
 @pytest.mark.parametrize(
