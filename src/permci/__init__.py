@@ -6,7 +6,6 @@ from .core import (
     ContractError,
     CountVector,
     Design,
-    ExactStat,
     Interval,
     IntervalResult,
     ObservedCounts,
@@ -16,18 +15,13 @@ from .core import (
     neyman,
     tau,
 )
-from .exactdist import ExactTester, exact_pvalue
-from .feasibility import feasible_v10_range, is_possible
+from .exactdist import ExactTester
 from .baseline import enumerated_interval
-from .balanced import binary_search, fast_interval_balanced, is_compatible_balanced
-from .montecarlo import McConfig, mc_interval_balanced, mc_test, required_k_balanced
+from .balanced import fast_interval_balanced
+from .montecarlo import McConfig, mc_interval_balanced, required_k_balanced
 from .unbalanced import required_k_unbalanced, unbalanced_interval
 from .api import interval, required_k
-from .missing import (
-    MaskedCounts,
-    missing_interval,
-    pad_odd,
-)
+from .missing import MaskedCounts, missing_interval, pad_odd
 
 __version__ = "0.1.0"
 
@@ -36,7 +30,6 @@ __all__ = [
     "ContractError",
     "CountVector",
     "Design",
-    "ExactStat",
     "ExactTester",
     "Interval",
     "IntervalResult",
@@ -45,17 +38,11 @@ __all__ = [
     "ObservedCounts",
     "PermCIError",
     "ValidationError",
-    "binary_search",
     "c_set",
     "enumerated_interval",
-    "exact_pvalue",
     "fast_interval_balanced",
-    "feasible_v10_range",
     "interval",
-    "is_compatible_balanced",
-    "is_possible",
     "mc_interval_balanced",
-    "mc_test",
     "missing_interval",
     "neyman",
     "pad_odd",

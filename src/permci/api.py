@@ -3,9 +3,9 @@
 The method names the kind of test; the design and the sample size pick the
 construction and its arithmetic:
 
-- ``"exact"``: the fast search for equal groups, rational up to
-  `RATIONAL_MAX_N` subjects and float above; the general-design exact
-  search otherwise.
+- ``"exact"``: the fast search for equal groups, the general-design exact
+  search otherwise, each with an `ExactTester`, which picks its own
+  arithmetic (`permci.exactdist.RATIONAL_MAX_N`).
 - ``"mc"``: the same two searches with seeded Monte Carlo tests.
 - ``"enum"``: the enumeration construction, for any design.
 
@@ -24,10 +24,6 @@ from .exactdist import ExactTester
 from .montecarlo import McConfig, mc_interval_balanced, required_k_balanced
 from .unbalanced import GeneralSearch, required_k_unbalanced, unbalanced_interval
 
-#: Largest n whose balanced exact p-values are computed in rational
-#: arithmetic; above it the float kernel is used.
-RATIONAL_MAX_N = 64
-
 
 def required_k(eps: float, obs: ObservedCounts) -> int:
     """Samples per Monte Carlo test: the balanced rule for equal groups, the
@@ -36,18 +32,13 @@ def required_k(eps: float, obs: ObservedCounts) -> int:
     return rule(eps, obs.n)
 
 
-def _balanced_tester(obs: ObservedCounts, alpha: float) -> ExactTester:
-    return ExactTester(obs, alpha, "rational" if obs.n <= RATIONAL_MAX_N else "float")
-
-
 def exact_search(obs: ObservedCounts, alpha: float) -> BalancedSearch | GeneralSearch:
     """The endpoint searches the ``"exact"`` interval of ``obs`` is built
     from, by the same construction and arithmetic.  Its ``lower()`` and
     ``upper()`` each run one endpoint's search; ``tests`` and
     ``line_points`` count the searches run."""
-    if obs.design.balanced:
-        return BalancedSearch(obs, _balanced_tester(obs, alpha))
-    return GeneralSearch(obs, tester=ExactTester(obs, alpha))
+    search = BalancedSearch if obs.design.balanced else GeneralSearch
+    return search(obs, ExactTester(obs, alpha))
 
 
 def interval(
@@ -66,7 +57,7 @@ def interval(
     balanced = obs.design.balanced
     if method == "exact":
         if balanced:
-            return fast_interval_balanced(alpha, obs, tester=_balanced_tester(obs, alpha))
+            return fast_interval_balanced(alpha, obs)
         return unbalanced_interval(obs, alpha=alpha, mode="exact")
     if method == "mc":
         if cfg is None:

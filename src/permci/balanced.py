@@ -22,7 +22,8 @@ Two ingredients:
    `ExactTester`, one per thread of its pool for a Monte Carlo tester, and
    one at a time, as the scan reaches them, for a rational tester.
    Decisions past the first acceptance are discarded, so the tests counted
-   are the same in every case.
+   are the same in every case.  The tester states everything the scan and
+   the construction read off it (`TableTester`), its arithmetic included.
 
 2. A bisection over candidate effects.  The accepted effects form an
    interval containing the point estimate, so the upper endpoint is found by
@@ -39,7 +40,8 @@ Total: at most ``4 n log2(n)`` permutation tests for ``n >= 15``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from fractions import Fraction
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -57,13 +59,20 @@ from .feasibility import feasible_rows
 
 
 class TableTester(Protocol):
-    """Accept/reject decision for one table; ``key`` identifies the test site
-    ``(scaled tau0, j, variant)`` so seeded testers can derive substreams.
-    The package's testers also carry ``obs``, ``alpha``, their intervals'
-    ``method`` (``mc`` if none) and a ``decide_block(tables, keys)`` that a
-    balanced scan hands ``block`` sites at once (one at a time if none)."""
+    """What scans and constructions read off a tester: the counts ``obs``
+    and level ``alpha`` it decides for, its intervals' ``method``, and
+    ``block``, the sites a balanced scan hands `decide_block` at once (0:
+    one at a time, with `decide`).  ``key`` identifies the test site
+    ``(scaled tau0, j, variant)`` so seeded testers can derive substreams."""
+
+    obs: ObservedCounts
+    alpha: Fraction
+    method: str
+    block: int
 
     def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool: ...
+
+    def decide_block(self, tables: np.ndarray, keys: np.ndarray) -> Sequence[bool]: ...
 
 
 def binary_search(f: Callable[[int], int], k1: int, k2: int) -> int:
@@ -140,10 +149,10 @@ def is_compatible_balanced(ntau0: int, obs: ObservedCounts, tester: TableTester)
 
     Walks the sites (`_sites`) in scan order to the first accepted table
     (`first_accepted`), in blocks of the tester's ``block`` sites, or one at
-    a time when it states none.
+    a time when its ``block`` is 0.
     """
     tables, keys = _sites(ntau0, obs)
-    block = getattr(tester, "block", 0)
+    block = tester.block
     return first_accepted(tester, tables, keys, 0 if block else len(tables), block, block)
 
 
@@ -208,19 +217,20 @@ def fast_interval_balanced(
 ) -> IntervalResult:
     """Level ``1 - alpha`` interval via bisection over candidate effects.
 
-    Requires equal group sizes.  ``tester`` defaults to the exact rational
-    tester; a Monte Carlo tester yields the approximate variant with the same
-    control flow.  A tester that carries ``obs`` must have been built for
-    these counts at this level.  The result of an exact run always contains
-    the point estimate; with a noisy tester the two endpoint searches can in
-    principle cross, in which case the empty interval is returned.
+    Requires equal group sizes.  ``tester`` defaults to the `ExactTester`
+    of these counts and level, which picks its own arithmetic; a Monte Carlo
+    tester yields the approximate variant with the same control flow.  A
+    tester must have been built for these counts at this level.  The result
+    of an exact run always contains the point estimate; with a noisy tester
+    the two endpoint searches can in principle cross, in which case the
+    empty interval is returned.
     """
     level = alpha_fraction(alpha)
     if not obs.design.balanced:
         raise ValidationError("fast_interval_balanced requires equal group sizes")
     if tester is None:
         tester = ExactTester(obs, alpha)
-    elif hasattr(tester, "obs") and (tester.obs != obs or tester.alpha != level):
+    elif tester.obs != obs or tester.alpha != level:
         raise ValidationError(
             f"tester decides for counts {tester.obs.astuple()} at level {float(tester.alpha):g}, "
             f"not {obs.astuple()} at {float(level):g}"
@@ -231,5 +241,4 @@ def fast_interval_balanced(
         interval = Interval.empty()
     else:
         interval = Interval.from_scaled(lower, upper, obs.n)
-    method = "fast-balanced-" + getattr(tester, "method", "mc")
-    return IntervalResult(interval, method, search.tests)
+    return IntervalResult(interval, "fast-balanced-" + tester.method, search.tests)

@@ -57,7 +57,7 @@ def enumerated_interval(alpha: float, obs: ObservedCounts) -> IntervalResult:
     hull is exact there, and the hull is what the faster constructions are
     compared against in general.
     """
-    tester = ExactTester(obs, alpha)
+    tester = ExactTester(obs, alpha, "rational")  # the integer kernel, exact for any design
     tuples = math.prod(c + 1 for c in obs.astuple())
     if tuples > ENUM_MAX_TUPLES:
         raise CapacityError(

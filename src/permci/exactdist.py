@@ -14,13 +14,16 @@ so the classes (1,0) and (0,1) can be pooled (Vandermonde), cutting the
 enumeration to a 2-D grid.  Both reductions are covered by brute-force
 equivalence tests against direct assignment enumeration.
 
-Two arithmetic modes, both deciding extremeness by the integer `extreme_cut`:
+Two arithmetic modes, both deciding extremeness by the integer `extreme_cut`;
+an `ExactTester` picks its own (float for equal groups above
+`RATIONAL_MAX_N` subjects, rational otherwise), and scans and constructions
+read the mode from the tester:
 
 - ``rational``: integer counts over the common denominator C(n,m); every
-  probability is exact.  `split_weights` enumerates the splits, for lone
-  p-values and `ExactTester.decide`, and is the oracle of all correctness
-  sweeps; `_extreme_counts` counts a block of tables' extreme splits with
-  prefix sums, O(m v01 + v11 v10) terms per table.
+  probability is exact.  `split_weights` enumerates the splits, for
+  `exact_pvalue` and `ExactTester.decide`, and is the oracle of all
+  correctness sweeps; `_extreme_counts` counts a block of tables' extreme
+  splits with prefix sums, O(m v01 + v11 v10) terms per table.
 - ``float``: float64 probabilities from one cached table of ``log(k!)``
   (`math.lgamma`).  For equal groups a p-value is O(n) terms: the count
   ``y = x11 + x10 + x01`` is hypergeometric, ``x11`` given ``y`` is
@@ -59,6 +62,9 @@ from .core import (
 #: Float-mode probabilities are accurate to this absolute tolerance, and
 #: float-mode acceptance treats ``p >= alpha - FLOAT_P_TOL`` as acceptance.
 FLOAT_P_TOL = 1e-12
+
+#: Largest n of equal groups that an `ExactTester` decides in rational mode by default.
+RATIONAL_MAX_N = 64
 
 #: Float mode raises `CapacityError` above this n.  Its rounding error is
 #: measured up to n = 2000 (``tests/test_float_kernel.py``).
@@ -187,19 +193,6 @@ def _extreme_counts(tables: np.ndarray, obs: ObservedCounts) -> np.ndarray:
     return np.where(hi - lo <= 1, math.comb(n, m), hits)
 
 
-@functools.lru_cache(maxsize=16)
-def _log_factorials(n: int) -> np.ndarray:
-    """Read-only ``log(k!)`` for ``k = 0..n``, each entry from `math.lgamma`."""
-    if n > FLOAT_MODE_MAX_N:
-        raise CapacityError(
-            f"float-mode enumeration is limited to n <= {FLOAT_MODE_MAX_N}, got n={n}; "
-            'use the Monte Carlo method instead (permci mc, or method="mc")'
-        )
-    table = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    table.flags.writeable = False
-    return table
-
-
 @functools.lru_cache(maxsize=8)
 def _log_factorial_windows(n: int) -> tuple[int, tuple[np.ndarray, ...]]:
     """``(M, (up, up_neg, down, down_neg))``: read-only windows of
@@ -210,9 +203,13 @@ def _log_factorial_windows(n: int) -> tuple[int, tuple[np.ndarray, ...]]:
     ``up`` and ``down`` hold ``+inf`` at negative arguments, so
     ``log(nn!) - log(x!) - log((nn - x)!)`` is ``log C(nn, x)`` and ``-inf``
     for every ``x`` outside ``[0, nn]``, with no masks; the ``_neg`` windows
-    hold ``-inf`` there.
+    hold ``-inf`` there.  ``up[M + k, 0]`` is ``log(k!)``.
     """
-    _log_factorials(n)  # the capacity check
+    if n > FLOAT_MODE_MAX_N:
+        raise CapacityError(
+            f"float-mode enumeration is limited to n <= {FLOAT_MODE_MAX_N}, got n={n}; "
+            'use the Monte Carlo method instead (permci mc, or method="mc")'
+        )
     width = 2 * n + 4
     half = 4 * n + 8 + width
     logfact = np.array([math.lgamma(k + 1) for k in range(half + 1)])
@@ -288,8 +285,7 @@ def _float_grid(tables: np.ndarray, obs: ObservedCounts) -> tuple[np.ndarray, np
     # The first B rows are the upper tails, the last B the lower ones.
     k2, c2, n12 = np.concatenate(((k, c, n1),) * 2, axis=1)
     args = _tail_args(M, k2, c2, n12, np.concatenate((y_lo - before, y_lo + 1)), np.concatenate((b, a + 1)))
-    logfact = _log_factorials(n)
-    log_const = (logfact[k2] + logfact[c2] - logfact[n12])[:, None]
+    log_const = (up[M + k2, 0] + up[M + c2, 0] - up[M + n12, 0])[:, None]
     ratio = up[args[1], : width + 1] - up_neg[args[0], : width + 1]
     shared = log_const + down_neg[args[7], :width] - down[args[6], :width]
     pairs = [up[args[i], : 2 * width : 2] + down[args[i + 2], : 2 * width : 2] for i in (2, 3)]
@@ -327,40 +323,40 @@ def _float_pvalues(tables: np.ndarray, obs: ObservedCounts) -> np.ndarray:
     return totals[: len(tables)] / totals[len(tables) :]
 
 
-def exact_pvalue(
-    v: CountVector, obs: ObservedCounts, mode: str = "rational"
-) -> Fraction | float:
-    """Two-sided permutation p-value of ``v`` against the observed counts.
+def exact_pvalue(v: CountVector, obs: ObservedCounts) -> Fraction:
+    """Two-sided permutation p-value of ``v`` against the observed counts,
+    in rational arithmetic.
 
     ``P(|T - tau(v)| >= |T_obs - tau(v)|)`` under re-randomization of ``v``,
     with extremeness decided by the integer `extreme_cut`, so that lattice
-    ties are scored exactly in both modes.
+    ties are scored exactly.
     """
     if v.n != obs.n:
         raise ValidationError("table and observed counts describe different n")
     d = obs.design
-    if mode == "rational":
-        lo, hi = extreme_cut(v, obs)
-        weights = split_weights(v, d)
-        hit = sum(w for num, w in weights.items() if num <= lo or num >= hi)
-        return Fraction(hit, math.comb(d.n, d.m))
-    if mode == "float":
-        return float(_float_pvalues(np.array([v.astuple()], dtype=np.int64), obs)[0])
-    raise ValidationError(f"unknown mode {mode!r}")
+    lo, hi = extreme_cut(v, obs)
+    hit = sum(w for num, w in split_weights(v, d).items() if num <= lo or num >= hi)
+    return Fraction(hit, math.comb(d.n, d.m))
 
 
 class ExactTester:
     """Accept/reject tables at level alpha using exact permutation p-values.
 
-    In rational mode the comparison ``p >= alpha`` is exact.  In float mode
-    p-values within FLOAT_P_TOL of alpha are accepted, which can only widen
-    intervals and therefore cannot hurt coverage.  `decide_block` decides a
-    block of tables with one kernel call, `_extreme_counts` or `_float_grid`.
+    ``mode`` defaults to float for equal groups with more than
+    `RATIONAL_MAX_N` subjects and to rational otherwise.  In rational mode
+    the comparison ``p >= alpha`` is exact.  In float mode p-values within
+    FLOAT_P_TOL of alpha are accepted, which can only widen intervals and
+    therefore cannot hurt coverage.  `decide_block` decides a block of
+    tables with one kernel call, `_extreme_counts` or `_float_grid`.
     Every decision computes its p-value afresh; the tester holds no mutable
     state, so one instance may decide tables on several threads at once.
     """
 
-    def __init__(self, obs: ObservedCounts, alpha: float | Fraction, mode: str = "rational"):
+    def __init__(self, obs: ObservedCounts, alpha: float | Fraction, mode: str | None = None):
+        if mode is None:
+            mode = "float" if obs.design.balanced and obs.n > RATIONAL_MAX_N else "rational"
+        if mode not in ("rational", "float"):
+            raise ValidationError(f"unknown mode {mode!r}")
         self.obs = obs
         self.alpha = alpha_fraction(alpha)
         self.mode = mode
@@ -371,10 +367,9 @@ class ExactTester:
         self._threshold = -(-self.alpha.numerator * math.comb(obs.n, obs.m) // self.alpha.denominator)
 
     def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool:
-        p = exact_pvalue(v, self.obs, self.mode)
-        if self.mode == "rational":
-            return p >= self.alpha
-        return p >= self._alpha_float - FLOAT_P_TOL
+        if self.mode == "float":
+            return bool(self.decide_block(np.array([v.astuple()], np.int64))[0])
+        return exact_pvalue(v, self.obs) >= self.alpha
 
     def decide_block(self, tables: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
         """Decisions on a ``(B, 4)`` int64 array of tables, in order, from

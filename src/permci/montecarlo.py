@@ -201,6 +201,8 @@ class McTester:
     `decide_block` decides a block's sites on the threads of ``pool``, one
     site per thread (`decide` changes no state), or in turn without one."""
 
+    method = "mc"
+
     def __init__(self, cfg: McConfig, obs: ObservedCounts, pool: ThreadPoolExecutor | None = None):
         self.cfg = cfg
         self.obs = obs

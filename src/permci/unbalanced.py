@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    CapacityError,
     ContractError,
     CountVector,
     Design,
@@ -48,6 +49,11 @@ from .balanced import first_accepted
 from .exactdist import ExactTester, extreme_cut, split_num
 from .feasibility import _j_span, family_vector, feasible_rows, feasible_v10_range, is_possible, line_points
 from .montecarlo import McConfig, _hoeffding_k, sample_splits, substream
+
+#: Largest n the exact `GeneralSearch` takes.  Its time grows about as n^5:
+#: 15 s at n = 120, 78 s at 160 and 242 s at 200 (2-vCPU host), so about
+#: half an hour here.
+GENERAL_EXACT_MAX_N = 300
 
 
 class SummaryBatch:
@@ -120,14 +126,20 @@ class GeneralSearch:
     """The two endpoint searches of the general-design construction: walks
     over the attainable effects, descending from the top for `upper` and
     ascending from the bottom for `lower`, each stopping at its first
-    compatible effect.  Exact with a ``tester`` (`_compatible_exact`),
-    Monte Carlo with a ``cfg`` (`_compatible_mc`).  ``counters`` tallies
-    the base tests and line points of the walks run so far; each search
-    alone runs only the walk of its own endpoint."""
+    compatible effect.  Exact with a ``tester`` (`_compatible_exact`), up
+    to `GENERAL_EXACT_MAX_N` subjects, Monte Carlo with a ``cfg``
+    (`_compatible_mc`).  ``counters`` tallies the base tests and line
+    points of the walks run so far; each search alone runs only the walk of
+    its own endpoint."""
 
     def __init__(
         self, obs: ObservedCounts, tester: ExactTester | None = None, cfg: McConfig | None = None
     ):
+        if tester is not None and obs.n > GENERAL_EXACT_MAX_N:
+            raise CapacityError(
+                f"the general-design exact search is limited to n <= {GENERAL_EXACT_MAX_N}, got "
+                f"n={obs.n}: its time grows about as n^5, to about half an hour at the limit"
+            )
         self.obs, self.tester, self.cfg = obs, tester, cfg
         self.counters = {"base": 0, "line": 0}
         self._effects = c_set(obs)

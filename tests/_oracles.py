@@ -44,7 +44,7 @@ from permci.core import (
 from permci.exactdist import (
     ExactTester,
     _check_v_d,
-    _log_factorials,
+    _log_factorial_windows,
     exact_pvalue,
     split_num,
     split_weights,
@@ -338,7 +338,8 @@ class StatPmf:
 def split_cells(v: CountVector, d: Design) -> tuple[np.ndarray, np.ndarray]:
     """Flat arrays of statistic numerators and log-probabilities, one per
     treatment split ``(x11, x10, x01, .)`` of ``v``; any design, float64."""
-    logfact = _log_factorials(d.n)
+    M, (up, *_) = _log_factorial_windows(d.n)
+    logfact = up[M : M + d.n + 1, 0]  # log(k!) for k = 0..n
     m = d.m
     v11, v10, v01, v00 = v.astuple()
     # log C(count, x) for x = 0..count, per class

@@ -1,10 +1,10 @@
 import pytest
 
 from permci.core import IntervalResult, ObservedCounts, ValidationError
-from permci.api import RATIONAL_MAX_N, exact_search, interval, required_k
+from permci.api import exact_search, interval, required_k
 from permci.balanced import fast_interval_balanced
 from permci.baseline import enumerated_interval
-from permci.exactdist import ExactTester
+from permci.exactdist import RATIONAL_MAX_N, ExactTester
 from permci.missing import MaskedCounts, missing_interval
 from permci.montecarlo import McConfig, mc_interval_balanced, required_k_balanced
 from permci.unbalanced import required_k_unbalanced, unbalanced_interval
@@ -38,6 +38,20 @@ def test_balanced_float_just_above_the_rational_limit():
     res = interval(obs, 0.05)
     direct = fast_interval_balanced(0.05, obs, tester=ExactTester(obs, 0.05, "float"))
     check(res, direct, obs, "fast-balanced-exact[float]", (-4, 25), 95)
+    assert fast_interval_balanced(0.05, obs) == direct  # the default tester
+
+
+def test_the_tester_picks_its_arithmetic():
+    # Float for equal groups above RATIONAL_MAX_N, rational otherwise; a
+    # mode asked for by name is kept.
+    cases = [((16, 16, 14, 18), "rational"), ((16, 17, 14, 19), "float"), ((20, 20, 30, 30), "rational")]
+    for counts, mode in cases:
+        obs = ObservedCounts(*counts)
+        tester = ExactTester(obs, 0.05)
+        assert (tester.mode, tester.method) == (mode, f"exact[{mode}]"), counts
+        assert ExactTester(obs, 0.05, "rational").mode == "rational"
+    with pytest.raises(ValidationError, match="unknown mode"):
+        ExactTester(ObservedCounts(1, 1, 1, 1), 0.05, "decimal")
 
 
 def test_unequal_groups_use_the_general_search():

@@ -166,8 +166,8 @@ def test_tester_for_other_counts_or_level_is_rejected():
     with pytest.raises(ValidationError, match="tester decides for"):
         fast_interval_balanced(0.04, obs, tester=McTester(cfg, obs))
     assert fast_interval_balanced(0.05, obs, ExactTester(obs, 0.05)).interval.scaled(16) == (-14, -5)
-    # A tester without `obs` is taken as it is.
-    assert fast_interval_balanced(0.05, obs, tester=RejectAll()).interval.is_empty
+    res = fast_interval_balanced(0.05, obs, tester=RejectAll(obs, Fraction(0.05)))
+    assert res.interval.is_empty and res.method == "fast-balanced-reject-all"
 
 
 def test_monotone_step_direction_small():
@@ -243,9 +243,13 @@ def scalar_sites(ntau0, obs):
 
 
 class RejectAll:
-    """A tester that records what a scan hands it and accepts nothing."""
+    """A tester that records what a scan hands it, one site at a time, and
+    accepts nothing."""
 
-    def __init__(self):
+    method, block = "reject-all", 0
+
+    def __init__(self, obs=None, alpha=None):
+        self.obs, self.alpha = obs, alpha
         self.seen = []
 
     def decide(self, v, key=None):

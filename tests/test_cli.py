@@ -142,6 +142,17 @@ def test_enum_over_the_tuple_cap_is_an_analysis_error(capsys):
     assert "permci exact" in err
 
 
+def test_exact_over_the_general_design_limit_is_an_analysis_error(capsys):
+    # The general-design exact search would run for days at n = 2000; refused at once.
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "exact", "--counts", "300,300,500,900")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("analysis error: the general-design exact search is limited to n <= 300")
+    assert "got n=2000" in err
+    assert "mc" not in err  # Monte Carlo is slower still on unequal groups
+
+
 def test_missing_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("z,y\n1,1\n1,0\n0,1\n0,0\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from permci.core import CapacityError, CountVector, Design, ObservedCounts, tau
-from permci.exactdist import ExactTester, exact_pvalue, split_weights
+from permci.exactdist import ExactTester, _float_pvalues, exact_pvalue, split_weights
 
 from _oracles import (
     all_count_vectors,
@@ -108,6 +108,7 @@ def test_pvalue_examples():
 
 def test_pvalue_matches_assignment_enumeration():
     rng = random.Random(3)
+    drawn = {}
     for n in (4, 6, 8):
         vecs = list(all_count_vectors(n))
         for m in (n // 2, max(1, n // 3)):
@@ -118,8 +119,11 @@ def test_pvalue_matches_assignment_enumeration():
                 obs = ObservedCounts(n11, m - n11, n01, n - m - n01)
                 assert exact_pvalue(v, obs) == assignment_pvalue(v, obs)
                 if 2 * m == n:  # float mode takes equal groups only
-                    f = exact_pvalue(v, obs, mode="float")
-                    assert abs(f - float(assignment_pvalue(v, obs))) < 1e-12
+                    drawn.setdefault(obs, []).append(v)
+    for obs, tables in drawn.items():  # one float block per observation
+        got = _float_pvalues(np.array([v.astuple() for v in tables]), obs)
+        for v, f in zip(tables, got):
+            assert abs(f - float(assignment_pvalue(v, obs))) < 1e-12
 
 
 def test_copas_term_examples():
