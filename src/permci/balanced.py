@@ -17,10 +17,10 @@ Two ingredients:
    so the neighbor counts only when its base was rejected.  At most ``n+1``
    tests decide compatibility (``2(n+1)`` when ``tau0 = 0``).  An effect's
    sites are one int64 array from one feasibility pass (`_sites`), walked
-   by `first_accepted`, the walker of every exact scan, in blocks of the
-   tester's ``block``: `float_block(n)` sites per kernel call for a float
-   `ExactTester`, one per thread of its pool for a Monte Carlo tester, and
-   one at a time, as the scan reaches them, for a rational tester.
+   by `first_accepted`, the walker of every exact scan, on the tester's
+   schedule: a rational tester takes each site alone, as the scan reaches
+   it, a float `ExactTester` blocks of 16, then 32 sites, one float kernel
+   call each, and a Monte Carlo tester one site per thread of its pool.
    Decisions past the first acceptance are discarded, so the tests counted
    are the same in every case.  The tester states everything the scan and
    the construction read off it (`TableTester`), its arithmetic included.
@@ -60,15 +60,17 @@ from .feasibility import feasible_rows
 
 class TableTester(Protocol):
     """What scans and constructions read off a tester: the counts ``obs``
-    and level ``alpha`` it decides for, its intervals' ``method``, and
-    ``block``, the sites a balanced scan hands `decide_block` at once (0:
-    one at a time, with `decide`).  ``key`` identifies the test site
+    and level ``alpha`` it decides for, its intervals' ``method``, and its
+    walk schedule (`first_accepted`): ``scalar``, the sites of a scan it
+    decides one at a time with `decide`, and ``widest``, the most it decides
+    with one `decide_block`.  ``key`` identifies the test site
     ``(scaled tau0, j, variant)`` so seeded testers can derive substreams."""
 
     obs: ObservedCounts
     alpha: Fraction
     method: str
-    block: int
+    scalar: int
+    widest: int
 
     def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool: ...
 
@@ -123,24 +125,23 @@ def _sites(ntau0: int, obs: ObservedCounts) -> tuple[np.ndarray, np.ndarray]:
     return tables, np.array((np.full_like(j, ntau0), j, variant)).T
 
 
-def first_accepted(
-    tester: TableTester, tables: np.ndarray, keys: np.ndarray, scalar: int, width: int, widest: int
-) -> ScanOutcome:
+def first_accepted(tester: TableTester, tables: np.ndarray, keys: np.ndarray, scalar: int) -> ScanOutcome:
     """Whether a site of ``tables``, a ``(S, 4)`` int64 array in scan order
-    with row-aligned ``keys``, is accepted, and the sites decided up to the
-    first acceptance: the first ``scalar`` one at a time with `decide`, the
-    rest with `decide_block` in blocks of ``width`` doubling up to
-    ``widest``.  The outcome and count are the one-at-a-time scan's."""
+    with row-aligned ``(S, 3)`` ``keys``, is accepted, and the sites decided
+    up to the first acceptance: the first ``scalar`` one at a time with
+    `decide`, the rest with `decide_block` in blocks of 16 sites, or the
+    tester's ``widest`` if fewer, doubling up to its ``widest``.  The outcome
+    and count are the one-at-a-time scan's."""
     for tests, (row, key) in enumerate(zip(tables[:scalar].tolist(), keys[:scalar].tolist()), 1):
         if tester.decide(CountVector(*row), tuple(key)):
             return ScanOutcome(True, tests)
-    start = scalar
+    start, width = scalar, min(16, tester.widest)
     while start < len(tables):
         stop = start + width
         accepted = np.flatnonzero(tester.decide_block(tables[start:stop], keys[start:stop]))
         if accepted.size:
             return ScanOutcome(True, start + int(accepted[0]) + 1)
-        start, width = stop, min(2 * width, widest)
+        start, width = stop, min(2 * width, tester.widest)
     return ScanOutcome(False, len(tables))
 
 
@@ -148,12 +149,10 @@ def is_compatible_balanced(ntau0: int, obs: ObservedCounts, tester: TableTester)
     """Decide whether some possible table with effect ``ntau0 / n`` is accepted.
 
     Walks the sites (`_sites`) in scan order to the first accepted table
-    (`first_accepted`), in blocks of the tester's ``block`` sites, or one at
-    a time when its ``block`` is 0.
+    (`first_accepted`) on the tester's schedule.
     """
     tables, keys = _sites(ntau0, obs)
-    block = tester.block
-    return first_accepted(tester, tables, keys, 0 if block else len(tables), block, block)
+    return first_accepted(tester, tables, keys, tester.scalar)
 
 
 def _scaled_estimate(obs: ObservedCounts) -> int:

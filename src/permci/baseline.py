@@ -13,7 +13,7 @@ the enumeration is stated honestly.
 The tuples are one open `np.ix_` grid, mapped to tables by the imputation
 formula as column arithmetic (`imputation_tables`); the distinct tables are
 decided by the integer kernel (`ExactTester.decide_block`), a slice at a
-time, each slice as wide as the general-design search's widest block.
+time, each slice as wide as the tester's widest block.
 
 Works for any group sizes.  This module exists for correctness, not speed.
 """
@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import CapacityError, Interval, IntervalResult, ObservedCounts
 from .exactdist import ExactTester
-from .unbalanced import _block_widths
 
 #: Most imputation tuples `enumerated_interval` takes: one int64 key each,
 #: so 128 MiB of keys a copy, on the scale of `permci.montecarlo.MC_MAX_K`.
@@ -65,7 +64,7 @@ def enumerated_interval(alpha: float, obs: ObservedCounts) -> IntervalResult:
             f'keys, over the {8 * ENUM_MAX_TUPLES // 2**20} MiB limit; use permci exact (method="exact")'
         )
     tables = imputation_tables(obs)
-    width = _block_widths(obs.n, obs.m)[1]
+    width = tester.widest
     accepted = np.concatenate(
         [tester.decide_block(tables[at : at + width]) for at in range(0, len(tables), width)]
     )

@@ -302,14 +302,6 @@ def _float_grid(tables: np.ndarray, obs: ObservedCounts) -> tuple[np.ndarray, np
     return weights, weights * ((lower + (k <= a - n1)[:, None]) + upper)
 
 
-def float_block(n: int) -> int:
-    """Sites a float `ExactTester` decides with one kernel call: 32, or fewer
-    where the block's ``(2B, n/2 + 1)`` float64 temporaries would pass 128 KiB
-    (n >= 512), past which a block cost more per table (n = 1000-3000, 2-vCPU
-    host).  Sites past an acceptance are wasted, so the block is no wider."""
-    return max(1, min(32, 8192 // (n // 2 + 1)))
-
-
 def _float_pvalues(tables: np.ndarray, obs: ObservedCounts) -> np.ndarray:
     """Float p-values of a ``(B, 4)`` int64 array of tables under equal
     groups (`_float_grid`), the only design float mode takes.  Each row is
@@ -361,7 +353,19 @@ class ExactTester:
         self.alpha = alpha_fraction(alpha)
         self.mode = mode
         self.method = f"exact[{mode}]"
-        self.block = float_block(obs.n) if mode == "float" else 0
+        n, m = obs.n, obs.m
+        if mode == "float":
+            # Blocks of 32, or fewer where their (2B, n/2 + 1) float64 temporaries
+            # would pass 128 KiB (n >= 512), past which a table cost more
+            # (n = 1000-3000, 2-vCPU host); sites past an acceptance are wasted.
+            self.scalar, self.widest = 0, max(1, min(32, 8192 // (n // 2 + 1)))
+        else:
+            # Each site of a balanced effect alone, so that no p-value is computed
+            # past an acceptance; else while a kernel call (70 µs) costs more than
+            # 2-5 `decide` calls (n = 8-24, 2-vCPU host): 64 sites at n = 8, 12 at
+            # n = 12, 1 from n = 20.  Kernel temporaries of 80-500 KiB at n = 24-200.
+            self.scalar = 2 * (n + 1) if obs.design.balanced else max(1, (1 << 18) // n**4)
+            self.widest = max(1, (1 << 13) // ((m + 1) * (n + 2)))
         self._alpha_float = float(self.alpha)
         # The fewest extreme splits of an accepted table: ceil(alpha C(n, m)).
         self._threshold = -(-self.alpha.numerator * math.comb(obs.n, obs.m) // self.alpha.denominator)

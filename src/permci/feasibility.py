@@ -96,8 +96,9 @@ def feasible_rows(ntau0: int, obs: ObservedCounts) -> tuple[np.ndarray, np.ndarr
 
 def line_points(effects: np.ndarray, obs: ObservedCounts) -> tuple[np.ndarray, ...]:
     """Every possible table of each effect of an int64 array, in order, then
-    ``j`` and ``v10`` ascending: int64 arrays of their effects and of the
-    ``(S, 4)`` tables, and a flag for each line's base (smallest ``v10``)."""
+    ``j`` and ``v10`` ascending: an ``(S, 4)`` int64 array of the tables
+    and an ``(S, 3)`` one of their keys ``(effect, j, k)``, ``k`` the steps
+    from the line's base (smallest ``v10``)."""
     j_lo, j_hi = _j_span(effects, obs, np.maximum, np.minimum)
     rows = j_hi - j_lo + 1
     s = np.repeat(effects, rows)
@@ -106,7 +107,7 @@ def line_points(effects: np.ndarray, obs: ObservedCounts) -> tuple[np.ndarray, .
     points = hi - lo + 1
     step = np.arange(points.sum()) - np.repeat(points.cumsum() - points, points)
     s, j, v10 = np.repeat(s, points), np.repeat(j, points), np.repeat(lo, points) + step
-    return s, np.array((j - v10, v10, v10 - s, obs.n - j - v10 + s)).T, step == 0
+    return np.array((j - v10, v10, v10 - s, obs.n - j - v10 + s)).T, np.array((s, j, step)).T
 
 
 def family_vector(j: int, v10: int, ntau0: int, n: int) -> CountVector:

@@ -198,17 +198,20 @@ def required_k_balanced(eps: float, n: int) -> int:
 
 class McTester:
     """Seeded Monte Carlo accept/reject decisions, one substream per site.
-    `decide_block` decides a block's sites on the threads of ``pool``, one
-    site per thread (`decide` changes no state), or in turn without one."""
+    `decide_block` decides a block's sites on the ``threads`` threads of
+    ``pool``, one site per thread (`decide` changes no state), or in turn."""
 
     method = "mc"
+    scalar = 0
 
-    def __init__(self, cfg: McConfig, obs: ObservedCounts, pool: ThreadPoolExecutor | None = None):
+    def __init__(
+        self, cfg: McConfig, obs: ObservedCounts, pool: ThreadPoolExecutor | None = None, threads: int = 1
+    ):
         self.cfg = cfg
         self.obs = obs
         self.alpha = alpha_fraction(cfg.alpha)
         self._map = map if pool is None else pool.map
-        self.block = 1 if pool is None else pool._max_workers
+        self.widest = threads
 
     def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool:
         if key is None:
@@ -234,5 +237,5 @@ def mc_interval_balanced(
     if not obs.design.balanced:
         raise ValidationError("mc_interval_balanced requires equal group sizes")
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        res = fast_interval_balanced(cfg.alpha, obs, tester=McTester(cfg, obs, pool))
+        res = fast_interval_balanced(cfg.alpha, obs, tester=McTester(cfg, obs, pool, threads))
     return replace(res, samples_drawn=res.tests * cfg.k)

@@ -205,27 +205,18 @@ def unbalanced_interval(
     return IntervalResult(interval, f"general-{mode}", search.tests, search.line_points, samples)
 
 
-def _block_widths(n: int, m: int) -> tuple[int, int]:
-    """``(scalar, widest)``: sites an exact search decides one at a time (64
-    at n = 8, 12 at n = 12, 1 from n = 20; a kernel call costs about 70 µs,
-    two to five `decide` calls at n = 8-24 on a 2-vCPU host), and its widest
-    kernel block (temporaries of 80-500 KiB at n = 24-200)."""
-    return max(1, (1 << 18) // n**4), max(1, (1 << 13) // ((m + 1) * (n + 2)))
-
-
 def _compatible_exact(effects, obs: ObservedCounts, tester: ExactTester, counters: dict[str, int]):
     """The first of ``effects`` with an accepted table, or None.
 
     The line points of ``effects`` (per effect, ``j`` ascending, then
     ``v10``) are decided in order up to the first acceptance and counted
     as base tests (a line's smallest ``v10``) and line points.  Whole
-    effects are decided one table at a time until `_block_widths`'s scalar
-    count is passed; the rest by `first_accepted` over `line_points` chunks,
-    in blocks of 16, then of doubling width, each one call of
+    effects are decided one table at a time, line by line as the walk
+    reaches them, until the tester's ``scalar`` count is passed; the rest
+    by `first_accepted` over `line_points` chunks, each block one call of
     `ExactTester.decide_block` whatever effects it spans.
     """
     n = obs.n
-    scalar, widest = _block_widths(n, obs.m)
     effects, walked = iter(effects), 0
     for s in effects:
         j_lo, j_hi = _j_span(s, obs)
@@ -236,23 +227,21 @@ def _compatible_exact(effects, obs: ObservedCounts, tester: ExactTester, counter
                 if tester.decide(family_vector(j, v10, s, n)):
                     return s
             walked += len(rng)
-        if walked >= scalar:
+        if walked >= tester.scalar:
             break
     else:
         return None
     effects = np.fromiter(effects, np.int64)
     # Up to (n + 1)^2 line points per effect: arrays of about 2^14 sites at most.
-    width, chunk = min(16, widest), max(1, (1 << 14) // (n + 1) ** 2)
+    chunk = max(1, (1 << 14) // (n + 1) ** 2)
     for at in range(0, len(effects), chunk):
-        s, tables, base = line_points(effects[at : at + chunk], obs)
-        # An ExactTester ignores keys; the points' effects stand in for them.
-        outcome = first_accepted(tester, tables, s, 0, width, widest)
-        bases = int(np.count_nonzero(base[: outcome.tests]))
+        tables, keys = line_points(effects[at : at + chunk], obs)
+        outcome = first_accepted(tester, tables, keys, 0)
+        bases = int(np.count_nonzero(keys[: outcome.tests, 2] == 0))
         counters["base"] += bases
         counters["line"] += outcome.tests - bases
         if outcome.compatible:
-            return int(s[outcome.tests - 1])
-        width = widest  # past a whole chunk the blocks no longer need to ramp up
+            return int(keys[outcome.tests - 1, 0])
     return None
 
 

@@ -246,7 +246,7 @@ class RejectAll:
     """A tester that records what a scan hands it, one site at a time, and
     accepts nothing."""
 
-    method, block = "reject-all", 0
+    method, scalar, widest = "reject-all", 1 << 30, 1
 
     def __init__(self, obs=None, alpha=None):
         self.obs, self.alpha = obs, alpha
@@ -282,8 +282,8 @@ class PatternTester:
     """Accepts the sites a seeded pattern marks; records the sites `decide`
     sees and the start and width of every `decide_block` call."""
 
-    def __init__(self, accept):
-        self.accept = accept
+    def __init__(self, accept, widest):
+        self.accept, self.widest = accept, widest
         self.seen, self.blocks = [], []
 
     def decide(self, v, key):
@@ -296,28 +296,59 @@ class PatternTester:
 
 
 def test_walker_is_the_one_at_a_time_scan():
-    # Any split into a scalar prefix and doubling blocks gives the outcome
-    # and the count of one `decide` per site, decides exactly the prefix
-    # one at a time, and starts no block past the first acceptance.
+    # Any scalar prefix and any widest block give the outcome and the count
+    # of one `decide` per site, decide exactly the prefix one at a time,
+    # start no block past the first acceptance, and ramp the blocks from 16
+    # sites, or the widest if fewer, doubling up to the widest.
     rng = np.random.default_rng(16)
     for _ in range(40):
-        size = int(rng.integers(0, 12))
-        accept = rng.random(size) < rng.choice([0.0, 0.1, 0.4])
+        size = int(rng.integers(0, 60))
+        accept = rng.random(size) < rng.choice([0.0, 0.02, 0.1, 0.4])
         tables = rng.integers(0, 9, (size, 4))
         keys = np.stack((np.arange(size), np.zeros(size, np.int64), np.zeros(size, np.int64)), axis=1)
         hits = np.flatnonzero(accept)
         want = (True, int(hits[0]) + 1) if hits.size else (False, size)
         for scalar in range(size + 2):
-            for width in (0, 1, 2, 3, size + 1):
-                if width == 0 and scalar < size:
-                    continue  # no block to walk with: every site is in the prefix
-                for widest in sorted({width, 2 * width, max(width, 5), size + 1}):
-                    tester = PatternTester(accept)
-                    got = first_accepted(tester, tables, keys, scalar, width, widest)
-                    assert (got.compatible, got.tests) == want, (accept, scalar, width, widest)
-                    assert tester.seen == list(range(min(scalar, got.tests)))
-                    assert all(start < got.tests for start, _ in tester.blocks)
-                    start = scalar  # blocks of width, doubling up to widest
-                    for i, block in enumerate(tester.blocks):
-                        assert block == (start, min(width << i, widest, size - start))
-                        start += min(width << i, widest)
+            for widest in (1, 2, 3, 5, 16, 17, 32, size + 1):
+                tester = PatternTester(accept, widest)
+                got = first_accepted(tester, tables, keys, scalar)
+                assert (got.compatible, got.tests) == want, (accept, scalar, widest)
+                assert tester.seen == list(range(min(scalar, got.tests)))
+                assert all(start < got.tests for start, _ in tester.blocks)
+                start, width = scalar, min(16, widest)
+                for block in tester.blocks:
+                    assert block == (start, min(width, size - start))
+                    start, width = start + width, min(2 * width, widest)
+
+
+class BlockWidths(ExactTester):
+    """An `ExactTester` that records the width of every `decide_block` call."""
+
+    def __init__(self, obs, alpha):
+        super().__init__(obs, alpha)
+        self.widths = []
+
+    def decide_block(self, tables, keys=None):
+        self.widths.append(len(tables))
+        return super().decide_block(tables, keys)
+
+
+def test_float_scan_blocks_ramp_from_16_to_32():
+    # A float scan's first block is 16 sites wide, the next ones 32, and
+    # no block starts past the effect's first acceptance.
+    ramped = 0
+    for counts in [(40, 30, 32, 38), (70, 0, 0, 70), (21, 49, 60, 10)]:
+        obs = ObservedCounts(*counts)
+        tester = BlockWidths(obs, 0.05)
+        assert tester.mode == "float" and (tester.scalar, tester.widest) == (0, 32)
+        for ntau0 in c_set(obs):
+            tester.widths.clear()
+            outcome = is_compatible_balanced(ntau0, obs, tester)
+            size = len(_sites(ntau0, obs)[0])
+            start, width = 0, 16
+            for got in tester.widths:
+                assert start < outcome.tests and got == min(width, size - start), (counts, ntau0)
+                start, width = start + got, 32
+            assert start >= outcome.tests
+            ramped += 32 in tester.widths
+    assert ramped > 0

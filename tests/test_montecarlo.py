@@ -259,8 +259,8 @@ def test_mc_decide_block_is_decide_on_each_site():
     assert McTester(cfg, obs).decide_block(tables, keys) == want
     for threads in (2, 3):
         with ThreadPoolExecutor(threads) as pool:
-            tester = McTester(cfg, obs, pool)
-            assert tester.block == threads
+            tester = McTester(cfg, obs, pool, threads)
+            assert (tester.scalar, tester.widest) == (0, threads)
             assert tester.decide_block(tables, keys) == want
 
 

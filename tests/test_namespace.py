@@ -4,6 +4,8 @@ helpers.  Scan, kernel and feasibility internals stay importable from
 their own modules."""
 
 import importlib
+import re
+from pathlib import Path
 
 import permci
 
@@ -55,3 +57,12 @@ def test_the_namespace_is_the_library():
     for name, module in INTERNAL.items():
         assert not hasattr(permci, name), name
         assert hasattr(importlib.import_module(f"permci.{module}"), name), name
+
+
+def test_readme_python_blocks_run():
+    # README's library examples run as written, so they name the API as it is.
+    readme = Path(permci.__file__).parents[2] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
