@@ -54,17 +54,14 @@ def interval(
     (``alpha - eps`` to target coverage ``1 - alpha``); ``threads`` applies
     to the balanced Monte Carlo scan only.
     """
-    balanced = obs.design.balanced
-    if method == "exact":
-        if balanced:
-            return fast_interval_balanced(alpha, obs)
-        return unbalanced_interval(obs, alpha=alpha, mode="exact")
-    if method == "mc":
-        if cfg is None:
-            raise ValidationError("the mc method requires an McConfig")
-        if balanced:
-            return mc_interval_balanced(cfg, obs, threads=threads)
-        return unbalanced_interval(obs, mode="mc", cfg=cfg)
+    if method not in ("exact", "mc", "enum"):
+        raise ValidationError(f"unknown method {method!r}; use 'exact', 'mc' or 'enum'")
+    if method == "mc" and cfg is None:
+        raise ValidationError("the mc method requires an McConfig")
     if method == "enum":
         return enumerated_interval(alpha, obs)
-    raise ValidationError(f"unknown method {method!r}; use 'exact', 'mc' or 'enum'")
+    if obs.design.balanced:
+        if method == "exact":
+            return fast_interval_balanced(alpha, obs)
+        return mc_interval_balanced(cfg, obs, threads=threads)
+    return unbalanced_interval(obs, alpha, method, cfg)

@@ -15,12 +15,15 @@ Two ingredients:
    the monotonicity argument does not reach it, so the ``v10 = 1`` neighbor
    is the next site in scan order.  The scan stops at the first acceptance,
    so the neighbor counts only when its base was rejected.  At most ``n+1``
-   tests decide compatibility (``2(n+1)`` when ``tau0 = 0``).  An effect's
-   sites are one int64 array from one feasibility pass (`_sites`), walked
-   by `first_accepted`, the walker of every exact scan, on the tester's
-   schedule: a rational tester takes each site alone, as the scan reaches
-   it, a float `ExactTester` blocks of 16, then 32 sites, one float kernel
-   call each, and a Monte Carlo tester one site per thread of its pool.
+   sites decide compatibility: ``tau0 = 0`` has ``min(n11, n01) +
+   min(n10, n00) + 1 <= n/2 + 1`` rows, and only the row ``j = n11 + n01``
+   starts at ``v10 = 0`` (a row's smallest ``v10`` is ``|j - n11 - n01|``),
+   so it gains at most one neighbor.  An effect's sites are one int64
+   array from one feasibility pass (`_sites`), walked by `first_accepted`,
+   the walker of every exact scan, on the tester's schedule: a rational
+   tester takes each site alone, as the scan reaches it, a float
+   `ExactTester` blocks of 16, then 32 sites, one float kernel call each,
+   and a Monte Carlo tester one site per thread of its pool.
    Decisions past the first acceptance are discarded, so the tests counted
    are the same in every case.  The tester states everything the scan and
    the construction read off it (`TableTester`), its arithmetic included.
@@ -61,9 +64,9 @@ from .feasibility import feasible_rows
 class TableTester(Protocol):
     """What scans and constructions read off a tester: the counts ``obs``
     and level ``alpha`` it decides for, its intervals' ``method``, and its
-    walk schedule (`first_accepted`): ``scalar``, the sites of a scan it
-    decides one at a time with `decide`, and ``widest``, the most it decides
-    with one `decide_block`.  ``key`` identifies the test site
+    walk schedule (`first_accepted`): ``scalar``, the sites of a balanced
+    scan it decides one at a time with `decide`, and ``widest``, the most it
+    decides with one `decide_block`.  ``key`` identifies the test site
     ``(scaled tau0, j, variant)`` so seeded testers can derive substreams."""
 
     obs: ObservedCounts

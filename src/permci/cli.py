@@ -23,14 +23,7 @@ import os
 import sys
 import time
 
-from .core import (
-    CapacityError,
-    Interval,
-    ObservedCounts,
-    PermCIError,
-    ValidationError,
-    neyman,
-)
+from .core import Interval, ObservedCounts, PermCIError, ValidationError, neyman
 from .api import interval, required_k
 from .missing import MaskedCounts, missing_interval, pad_odd
 from .montecarlo import McConfig
@@ -101,48 +94,22 @@ def _interval_fields(iv: Interval, n: int) -> dict:
 
 
 def _emit(report: dict, fmt: str, wall_ms: float) -> None:
+    """Print a report: JSON with its keys sorted and ``wall_ms`` added, or
+    text, one ``key: value`` line per field in report order, leaving out
+    empty fields and the JSON-only completion counts of ``missing``."""
     if fmt == "json":
-        report = dict(report)
-        report["wall_ms"] = round(wall_ms, 3)
-        print(json.dumps(report, sort_keys=True))
+        print(json.dumps({**report, "wall_ms": round(wall_ms, 3)}, sort_keys=True))
         return
-    for key in (
-        "method",
-        "counts",
-        "n",
-        "m",
-        "alpha",
-        "alpha_effective",
-        "eps",
-        "k",
-        "k_recommended",
-        "seed",
-        "estimate",
-        "interval_scaled",
-        "interval",
-        "tests",
-        "note",
-    ):
-        if key in report and report[key] is not None:
-            value = report[key]
-            if isinstance(value, float):
-                value = f"{value:.10g}"
-            print(f"{key}: {value}")
+    for key, value in report.items():
+        if value is None or key in ("plus_counts", "minus_counts"):
+            continue
+        print(f"{key}: {value:.10g}" if isinstance(value, float) else f"{key}: {value}")
 
 
 def _cmd_interval(args: argparse.Namespace) -> int:
     obs: ObservedCounts = args.counts
-    report = {
-        "counts": list(obs.astuple()),
-        "n": obs.n,
-        "m": obs.m,
-        "alpha": args.alpha,
-        "estimate": str(neyman(obs).fraction),
-        "k": None,
-        "seed": None,
-    }
-    cfg = None
-    threads = 1
+    cfg, threads, note = None, 1, None
+    mc = {"k": None, "seed": None}
     if args.method == "mc":
         # Monte Carlo tests run at alpha - eps, and McConfig needs eps below it.
         level = args.alpha - args.eps
@@ -155,17 +122,25 @@ def _cmd_interval(args: argparse.Namespace) -> int:
         k = recommended if args.k == "auto" else args.k
         cfg = McConfig(alpha=level, eps=args.eps, k=k, seed=args.seed)
         threads = args.threads
-        report.update(
-            alpha_effective=level, eps=args.eps, k=k, k_recommended=recommended, seed=args.seed
-        )
+        mc = dict(alpha_effective=level, eps=args.eps, k=k, k_recommended=recommended, seed=args.seed)
         if k < recommended:
-            report["note"] = (
-                f"k below the recommended {recommended}; the coverage guarantee does not apply"
-            )
+            note = f"k below the recommended {recommended}; the coverage guarantee does not apply"
     t0 = time.perf_counter()
     res = interval(obs, args.alpha, args.method, cfg, threads)
     wall = (time.perf_counter() - t0) * 1000
-    report.update(method=res.method, tests=res.tests, **_interval_fields(res.interval, obs.n))
+    report = {
+        "method": res.method,
+        "counts": list(obs.astuple()),
+        "n": obs.n,
+        "m": obs.m,
+        "alpha": args.alpha,
+        **mc,
+        "estimate": str(neyman(obs).fraction),
+        **_interval_fields(res.interval, obs.n),
+        "tests": res.tests,
+    }
+    if note is not None:
+        report["note"] = note
     _emit(report, args.format, wall)
     return 0
 
@@ -210,17 +185,16 @@ def _cmd_missing(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     res = missing_interval(args.alpha, data)
     wall = (time.perf_counter() - t0) * 1000
-    n = data.n
     report = {
         "method": res.method,
-        "n": n,
+        "n": data.n,
         "m": data.m,
         "alpha": args.alpha,
         "plus_counts": list(data.plus.astuple()),
         "minus_counts": list(data.minus.astuple()),
         "k": None,
         "seed": None,
-        **_interval_fields(res.interval, n),
+        **_interval_fields(res.interval, data.n),
     }
     _emit(report, args.format, wall)
     return 0
@@ -280,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (CapacityError, PermCIError, OSError) as exc:
+    except (PermCIError, OSError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return ANALYSIS_ERROR
 

@@ -20,10 +20,12 @@ an `ExactTester` picks its own (float for equal groups above
 read the mode from the tester:
 
 - ``rational``: integer counts over the common denominator C(n,m); every
-  probability is exact.  `split_weights` enumerates the splits, for
-  `exact_pvalue` and `ExactTester.decide`, and is the oracle of all
-  correctness sweeps; `_extreme_counts` counts a block of tables' extreme
-  splits with prefix sums, O(m v01 + v11 v10) terms per table.
+  probability is exact.  `split_weights` enumerates the splits (on the
+  pooled grid for equal groups), for `exact_pvalue` and
+  `ExactTester.decide`, and is the oracle of all correctness sweeps;
+  `_extreme_counts` counts a block of tables' extreme splits with prefix
+  sums, O(m v01 + v11 v10) terms per table.  The tester decides up to
+  n + 1 sites of a balanced scan one at a time: every site an effect has.
 - ``float``: float64 probabilities from one cached table of ``log(k!)``
   (`math.lgamma`).  For equal groups a p-value is O(n) terms: the count
   ``y = x11 + x10 + x01`` is hypergeometric, ``x11`` given ``y`` is
@@ -106,16 +108,25 @@ def split_weights(v: CountVector, d: Design) -> dict[int, int]:
 
     The weight of numerator ``num`` is the number of assignments whose split
     produces statistic ``num / (m*(n-m))``; weights sum to C(n,m).  The loop
-    hoists each term of `split_num` to the loop level that fixes it.
+    hoists each term of `split_num` to the loop level that fixes it; for
+    equal groups it pools the contrast classes, ``w = x10 + x01``.
     """
     _check_v_d(v, d)
     m, u = d.m, d.controls
-    if d.balanced:
-        return {m * t: w for t, w in _diff_weights_balanced(v, m).items()}
     v11, v10, v01, v00 = v.astuple()
     comb = math.comb
     weights: dict[int, int] = {}
     base = -(v11 + v01) * m
+    if d.balanced:
+        c = v10 + v01
+        for x11 in range(max(0, m - c - v00), min(v11, m) + 1):
+            w11 = comb(v11, x11)
+            r = m - x11
+            num_head = base + 2 * x11 * m
+            for w in range(max(0, r - v00), min(c, r) + 1):
+                num = num_head + w * m
+                weights[num] = weights.get(num, 0) + w11 * comb(c, w) * comb(v00, r - w)
+        return weights
     for x11 in range(max(0, m - v10 - v01 - v00), min(v11, m) + 1):
         w11 = comb(v11, x11)
         r1 = m - x11
@@ -127,23 +138,6 @@ def split_weights(v: CountVector, d: Design) -> dict[int, int]:
                 wt = w10 * comb(v01, x01) * comb(v00, r2 - x01)
                 num = num_head + x01 * m
                 weights[num] = weights.get(num, 0) + wt
-    return weights
-
-
-def _diff_weights_balanced(v: CountVector, m: int) -> dict[int, int]:
-    """Weights of ``t = s1 - s0`` for equal groups, pooling the contrast classes."""
-    v11, v10, v01, v00 = v.astuple()
-    c = v10 + v01
-    comb = math.comb
-    weights: dict[int, int] = {}
-    shift = v11 + v01
-    for x11 in range(max(0, m - c - v00), min(v11, m) + 1):
-        w11 = comb(v11, x11)
-        r = m - x11
-        for w in range(max(0, r - v00), min(c, r) + 1):
-            wt = w11 * comb(c, w) * comb(v00, r - w)
-            t = 2 * x11 + w - shift
-            weights[t] = weights.get(t, 0) + wt
     return weights
 
 
@@ -360,12 +354,10 @@ class ExactTester:
             # (n = 1000-3000, 2-vCPU host); sites past an acceptance are wasted.
             self.scalar, self.widest = 0, max(1, min(32, 8192 // (n // 2 + 1)))
         else:
-            # Each site of a balanced effect alone, so that no p-value is computed
-            # past an acceptance; else while a kernel call (70 µs) costs more than
-            # 2-5 `decide` calls (n = 8-24, 2-vCPU host): 64 sites at n = 8, 12 at
-            # n = 12, 1 from n = 20.  Kernel temporaries of 80-500 KiB at n = 24-200.
-            self.scalar = 2 * (n + 1) if obs.design.balanced else max(1, (1 << 18) // n**4)
-            self.widest = max(1, (1 << 13) // ((m + 1) * (n + 2)))
+            # Each site of a balanced effect alone, at most n + 1 of them
+            # (`permci.balanced`), so that no p-value is computed past an
+            # acceptance.  Kernel temporaries of 80-500 KiB at n = 24-200.
+            self.scalar, self.widest = n + 1, max(1, (1 << 13) // ((m + 1) * (n + 2)))
         self._alpha_float = float(self.alpha)
         # The fewest extreme splits of an accepted table: ceil(alpha C(n, m)).
         self._threshold = -(-self.alpha.numerator * math.comb(obs.n, obs.m) // self.alpha.denominator)

@@ -23,10 +23,12 @@ a whole line costs as much as one extra test.  Each point counts its
 extreme samples against its own table's `permci.exactdist.extreme_cut`.
 
 An exact mode decides every line point by its exact p-value instead.  An
-endpoint search walks its effects' line points as one stream: the first
-few one table at a time, the rest as int64 arrays (`line_points`) that the
-balanced scan's walker (`permci.balanced.first_accepted`) hands the integer
-kernel a block at a time, whatever effects a block spans.
+endpoint search walks its effects' line points as one stream: a lazy
+prefix one table at a time, whose length is the walk's own rule (one
+effect from n = 20, whatever the design or the tester's arithmetic), the
+rest as int64 arrays (`line_points`) that the balanced scan's walker
+(`permci.balanced.first_accepted`) hands the integer kernel a block at a
+time, whatever effects a block spans.
 A table costs about 5-13 µs at n = 24 and 40 µs at n = 60 (2-vCPU host).
 """
 
@@ -212,12 +214,14 @@ def _compatible_exact(effects, obs: ObservedCounts, tester: ExactTester, counter
     ``v10``) are decided in order up to the first acceptance and counted
     as base tests (a line's smallest ``v10``) and line points.  Whole
     effects are decided one table at a time, line by line as the walk
-    reaches them, until the tester's ``scalar`` count is passed; the rest
-    by `first_accepted` over `line_points` chunks, each block one call of
-    `ExactTester.decide_block` whatever effects it spans.
+    reaches them, while a kernel call (70 µs) costs more than 2-5
+    `ExactTester.decide` calls (n = 8-24, 2-vCPU host): until 64 tables
+    are passed at n = 8, 12 at n = 12, one effect from n = 20.  The rest
+    go to `first_accepted` over `line_points` chunks, each block one call
+    of `ExactTester.decide_block` whatever effects it spans.
     """
     n = obs.n
-    effects, walked = iter(effects), 0
+    effects, walked, lazy = iter(effects), 0, max(1, (1 << 18) // n**4)
     for s in effects:
         j_lo, j_hi = _j_span(s, obs)
         for j in range(j_lo, j_hi + 1):
@@ -227,7 +231,7 @@ def _compatible_exact(effects, obs: ObservedCounts, tester: ExactTester, counter
                 if tester.decide(family_vector(j, v10, s, n)):
                     return s
             walked += len(rng)
-        if walked >= tester.scalar:
+        if walked >= lazy:
             break
     else:
         return None

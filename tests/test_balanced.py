@@ -352,3 +352,18 @@ def test_float_scan_blocks_ramp_from_16_to_32():
             assert start >= outcome.tests
             ramped += 32 in tester.widths
     assert ramped > 0
+
+
+def test_every_effect_has_at_most_n_plus_1_sites():
+    # The rational tester's scalar, n + 1, covers every site of a balanced
+    # effect, so the scan decides each one alone.  tau0 = 0 has at most
+    # n/2 + 1 rows and one neighbor; every other effect at most n + 1 rows.
+    rng = random.Random(160)
+    cases = [(n11, n01, m) for m in range(1, 13) for n11 in range(m + 1) for n01 in range(m + 1)]
+    cases += [(rng.randrange(m + 1), rng.randrange(m + 1), m) for m in rng.choices(range(13, 161), k=40)]
+    for n11, n01, m in cases:
+        obs = ObservedCounts(n11, m - n11, n01, m - n01)
+        assert ExactTester(obs, 0.05, "rational").scalar == obs.n + 1
+        for ntau0 in c_set(obs):
+            sites = len(_sites(ntau0, obs)[0])
+            assert sites <= (obs.n // 2 + 2 if ntau0 == 0 else obs.n + 1), (obs, ntau0)

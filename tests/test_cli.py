@@ -295,3 +295,74 @@ def test_bad_thread_count_from_environment_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("PERMCI_THREADS", "2")
     assert main(base) == 0
     capsys.readouterr()
+
+
+COMMON = ["method", "counts", "n", "m", "alpha"]
+MC_FIELDS = ["alpha_effective", "eps", "k", "k_recommended", "seed"]
+RESULT = ["estimate", "interval_scaled", "interval", "tests"]
+
+
+@pytest.mark.parametrize(
+    "argv, lines, extra_json",
+    [
+        (
+            ["exact", "--counts", "2,6,8,0"],
+            ["fast-balanced-exact[rational]", "[2, 6, 8, 0]", "16", "8", "0.05",
+             "-3/4", "[-14, -5]", "['-7/8', '-5/16']", "17"],
+            ["k", "seed"],
+        ),
+        (
+            ["exact", "--counts", "3,2,6,9"],
+            ["general-exact", "[3, 2, 6, 9]", "20", "5", "0.05",
+             "1/5", "[-4, 10]", "['-1/5', '1/2']", "42"],
+            ["k", "seed"],
+        ),
+        (
+            ["enum", "--counts", "8,4,5,7"],
+            ["enumeration", "[8, 4, 5, 7]", "24", "12", "0.05",
+             "1/4", "[-3, 13]", "['-1/8', '13/24']", "2160"],
+            ["k", "seed"],
+        ),
+        (
+            ["mc", "--counts", "6,4,4,6", "--eps", "0.01", "--k", "300", "--seed", "3"],
+            ["fast-balanced-mc", "[6, 4, 4, 6]", "20", "10", "0.05", "0.04", "0.01", "300", "111441", "3",
+             "1/5", "[-5, 11]", "['-1/4', '11/20']", "10",
+             "k below the recommended 111441; the coverage guarantee does not apply"],
+            [],
+        ),
+    ],
+)
+def test_interval_report_lines_and_json_keys(capsys, argv, lines, extra_json):
+    # The text report prints its fields in report order, one per line, with
+    # no empty ones; JSON carries the same fields, the empty ones as null.
+    keys = COMMON + (MC_FIELDS if argv[0] == "mc" else []) + RESULT + (["note"] if argv[0] == "mc" else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [f"{key}: {value}" for key, value in zip(keys, lines, strict=True)]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert sorted(json.loads(out)) == sorted(keys + extra_json + ["wall_ms"])
+
+
+def test_missing_report_lines_and_json_keys(tmp_path, capsys):
+    # The completions' counts are in JSON only; text has no counts and no tests.
+    path = tmp_path / "d.csv"
+    path.write_text("z,y\n1,1\n1,NA\n1,0\n0,NA\n0,0\n0,1\n0,1\n1,1\n")
+    code, out, _ = run_cli(capsys, "missing", "--file", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "method: bracketed-balanced",
+        "n: 8",
+        "m: 4",
+        "alpha: 0.05",
+        "interval_scaled: [-5, 5]",
+        "interval: ['-5/8', '5/8']",
+    ]
+    code, out, _ = run_cli(capsys, "missing", "--file", str(path), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert sorted(report) == sorted([
+        "method", "n", "m", "alpha", "plus_counts", "minus_counts", "k", "seed",
+        "interval_scaled", "interval", "wall_ms",
+    ])
+    assert (report["plus_counts"], report["minus_counts"]) == ([3, 1, 2, 2], [2, 2, 3, 1])

@@ -4,10 +4,12 @@ helpers.  Scan, kernel and feasibility internals stay importable from
 their own modules."""
 
 import importlib
+import json
 import re
 from pathlib import Path
 
 import permci
+from permci.cli import main
 
 LIBRARY = [
     "CapacityError",
@@ -66,3 +68,14 @@ def test_readme_python_blocks_run():
     assert len(blocks) >= 2
     for block in blocks:
         exec(compile(block, str(readme), "exec"), {})
+
+
+def test_readme_json_report_is_the_cli_output(capsys):
+    # README's JSON example is what `permci exact --counts 2,6,8,0 --format
+    # json` prints, but for the run's `wall_ms`.
+    readme = Path(permci.__file__).parents[2] / "README.md"
+    (block,) = re.findall(r"^```json\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert main(["exact", "--counts", "2,6,8,0", "--format", "json"]) == 0
+    documented, printed = json.loads(block), json.loads(capsys.readouterr().out)
+    documented.pop("wall_ms"), printed.pop("wall_ms")
+    assert documented == printed

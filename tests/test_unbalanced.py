@@ -8,6 +8,7 @@ import pytest
 
 from permci.core import ContractError, CountVector, Design, ObservedCounts, ValidationError, tau
 from permci.baseline import enumerated_interval
+from permci.exactdist import ExactTester
 from permci.feasibility import family_vector, feasible_v10_range, is_possible
 from permci.montecarlo import McConfig, substream
 from permci.unbalanced import SummaryBatch, required_k_unbalanced, unbalanced_interval
@@ -220,3 +221,22 @@ def test_required_k_unbalanced_rejects_eps_without_a_finite_k():
     for eps in (math.nan, math.inf, 1e-200, 0.0, -0.1):
         with pytest.raises(ValidationError):
             required_k_unbalanced(eps, 20)
+
+
+def test_equal_groups_walk_decides_one_table_at_a_time_only_in_its_lazy_prefix(monkeypatch):
+    # The general walk's lazy prefix is its own rule, not the balanced scan's
+    # one-site-at-a-time schedule: from n = 20 it decides one effect alone,
+    # then blocks, on equal groups as on unequal ones.
+    calls = []
+    decide = ExactTester.decide
+    monkeypatch.setattr(
+        ExactTester, "decide", lambda self, v, key=None: calls.append(v) or decide(self, v, key)
+    )
+    for counts, want in [
+        ((8, 6, 5, 9), (Fraction(-1, 7), Fraction(1, 2), 162, 125)),
+        ((12, 8, 7, 13), (Fraction(-1, 20), Fraction(19, 40), 886, 769)),
+    ]:
+        calls.clear()
+        res = unbalanced_interval(ObservedCounts(*counts), 0.05)
+        assert (res.interval.lower, res.interval.upper, res.tests, res.line_points) == want
+        assert len(calls) == 2, counts
