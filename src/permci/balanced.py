@@ -66,8 +66,8 @@ class TableTester(Protocol):
     and level ``alpha`` it decides for, its intervals' ``method``, and its
     walk schedule (`first_accepted`): ``scalar``, the sites of a balanced
     scan it decides one at a time with `decide`, and ``widest``, the most it
-    decides with one `decide_block`.  ``key`` identifies the test site
-    ``(scaled tau0, j, variant)`` so seeded testers can derive substreams."""
+    decides with one `decide_block`.  A decision is a function of the
+    table alone: a seeded tester derives its substream from the table."""
 
     obs: ObservedCounts
     alpha: Fraction
@@ -75,9 +75,9 @@ class TableTester(Protocol):
     scalar: int
     widest: int
 
-    def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool: ...
+    def decide(self, v: CountVector) -> bool: ...
 
-    def decide_block(self, tables: np.ndarray, keys: np.ndarray) -> Sequence[bool]: ...
+    def decide_block(self, tables: np.ndarray) -> Sequence[bool]: ...
 
 
 def binary_search(f: Callable[[int], int], k1: int, k2: int) -> int:
@@ -110,38 +110,35 @@ class ScanOutcome:
     tests: int
 
 
-def _sites(ntau0: int, obs: ObservedCounts) -> tuple[np.ndarray, np.ndarray]:
-    """Test sites of one effect in scan order: a ``(S, 4)`` int64 array of
-    tables and a ``(S, 3)`` one of their keys ``(ntau0, j, variant)``.
+def _sites(ntau0: int, obs: ObservedCounts) -> np.ndarray:
+    """Test sites of one effect in scan order: a ``(S, 4)`` int64 array.
 
     Per ``j`` ascending: the smallest feasible ``v10``, then the ``v10 = 1``
     neighbor when that table has no contrast subjects.  Feasibility comes
     from one array pass over the effect's rows (`feasible_rows`).
     """
     j, v10, hi = feasible_rows(ntau0, obs)
-    variant = np.zeros(len(j), np.int64)
     if ntau0 == 0:  # the only effect whose tables can have v10 = v01 = 0
         reps = 1 + ((v10 == 0) & (hi >= 1))
         variant = np.arange(reps.sum()) - np.repeat(reps.cumsum() - reps, reps)
         j, v10 = np.repeat(j, reps), np.repeat(v10, reps) + variant
-    tables = np.array((j - v10, v10, v10 - ntau0, obs.n + ntau0 - j - v10)).T
-    return tables, np.array((np.full_like(j, ntau0), j, variant)).T
+    return np.array((j - v10, v10, v10 - ntau0, obs.n + ntau0 - j - v10)).T
 
 
-def first_accepted(tester: TableTester, tables: np.ndarray, keys: np.ndarray, scalar: int) -> ScanOutcome:
-    """Whether a site of ``tables``, a ``(S, 4)`` int64 array in scan order
-    with row-aligned ``(S, 3)`` ``keys``, is accepted, and the sites decided
-    up to the first acceptance: the first ``scalar`` one at a time with
-    `decide`, the rest with `decide_block` in blocks of 16 sites, or the
-    tester's ``widest`` if fewer, doubling up to its ``widest``.  The outcome
-    and count are the one-at-a-time scan's."""
-    for tests, (row, key) in enumerate(zip(tables[:scalar].tolist(), keys[:scalar].tolist()), 1):
-        if tester.decide(CountVector(*row), tuple(key)):
+def first_accepted(tester: TableTester, tables: np.ndarray, scalar: int) -> ScanOutcome:
+    """Whether a site of ``tables``, a ``(S, 4)`` int64 array in scan order,
+    is accepted, and the sites decided up to the first acceptance: the
+    first ``scalar`` one at a time with `decide`, the rest with
+    `decide_block` in blocks of 16 sites, or the tester's ``widest`` if
+    fewer, doubling up to its ``widest``.  The outcome and count are the
+    one-at-a-time scan's."""
+    for tests, row in enumerate(tables[:scalar].tolist(), 1):
+        if tester.decide(CountVector(*row)):
             return ScanOutcome(True, tests)
     start, width = scalar, min(16, tester.widest)
     while start < len(tables):
         stop = start + width
-        accepted = np.flatnonzero(tester.decide_block(tables[start:stop], keys[start:stop]))
+        accepted = np.flatnonzero(tester.decide_block(tables[start:stop]))
         if accepted.size:
             return ScanOutcome(True, start + int(accepted[0]) + 1)
         start, width = stop, min(2 * width, tester.widest)
@@ -154,8 +151,7 @@ def is_compatible_balanced(ntau0: int, obs: ObservedCounts, tester: TableTester)
     Walks the sites (`_sites`) in scan order to the first accepted table
     (`first_accepted`) on the tester's schedule.
     """
-    tables, keys = _sites(ntau0, obs)
-    return first_accepted(tester, tables, keys, tester.scalar)
+    return first_accepted(tester, _sites(ntau0, obs), tester.scalar)
 
 
 def _scaled_estimate(obs: ObservedCounts) -> int:

@@ -12,8 +12,8 @@ the enumeration is stated honestly.
 
 The tuples are one open `np.ix_` grid, mapped to tables by the imputation
 formula as column arithmetic (`imputation_tables`); the distinct tables are
-decided by the integer kernel (`ExactTester.decide_block`), a slice at a
-time, each slice as wide as the tester's widest block.
+decided by the integer kernel with one `ExactTester.decide_block` call,
+which hands the kernel at most the tester's ``widest`` tables at a time.
 
 Works for any group sizes.  This module exists for correctness, not speed.
 """
@@ -64,10 +64,7 @@ def enumerated_interval(alpha: float, obs: ObservedCounts) -> IntervalResult:
             f'keys, over the {8 * ENUM_MAX_TUPLES // 2**20} MiB limit; use permci exact (method="exact")'
         )
     tables = imputation_tables(obs)
-    width = tester.widest
-    accepted = np.concatenate(
-        [tester.decide_block(tables[at : at + width]) for at in range(0, len(tables), width)]
-    )
+    accepted = tester.decide_block(tables)
     effects = tables[accepted, 1] - tables[accepted, 2]
     if effects.size:
         interval = Interval.from_scaled(int(effects.min()), int(effects.max()), obs.n)

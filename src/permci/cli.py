@@ -192,9 +192,8 @@ def _cmd_missing(args: argparse.Namespace) -> int:
         "alpha": args.alpha,
         "plus_counts": list(data.plus.astuple()),
         "minus_counts": list(data.minus.astuple()),
-        "k": None,
-        "seed": None,
         **_interval_fields(res.interval, data.n),
+        "tests": res.tests,
     }
     _emit(report, args.format, wall)
     return 0

@@ -159,9 +159,6 @@ class ExactStat:
     def fraction(self) -> Fraction:
         return Fraction(self.num, self.denominator)
 
-    def __float__(self) -> float:
-        return self.num / self.denominator
-
 
 @dataclass(frozen=True)
 class Interval:

@@ -35,7 +35,7 @@ read the mode from the tester:
   row, its set-up included, with one set of array operations, so its fixed
   cost of about 130 numpy calls is shared: at n = 280-320 a table costs
   about 18-30 µs in a block of 32 and 225-260 µs alone (2-vCPU host).
-  Float mode needs equal groups (`_float_pvalues`).  Nothing is
+  A float `ExactTester` checks that the groups are equal.  Nothing is
   truncated: the only error is float rounding, measured at 5e-15 for
   n <= 14, 5e-14 at n = 200 and 6.8e-13 at n = 2000, but -1.92e-12 at
   n = 5000, past the 1e-12 tolerance.  Acceptance decisions in this mode
@@ -68,8 +68,8 @@ FLOAT_P_TOL = 1e-12
 #: Largest n of equal groups that an `ExactTester` decides in rational mode by default.
 RATIONAL_MAX_N = 64
 
-#: Float mode raises `CapacityError` above this n.  Its rounding error is
-#: measured up to n = 2000 (``tests/test_float_kernel.py``).
+#: A float `ExactTester` refuses more subjects than this (`CapacityError`).
+#: Its rounding error is measured up to n = 2000 (``tests/test_float_kernel.py``).
 FLOAT_MODE_MAX_N = 5000
 
 
@@ -165,8 +165,6 @@ def _extreme_counts(tables: np.ndarray, obs: ObservedCounts) -> np.ndarray:
     every ``(x11, x10)`` cell.  In int64 every operation on counts is exact
     modulo ``2^64`` and each count is below ``2^63``, so wrapped
     intermediates leave the result exact."""
-    if not len(tables):
-        return np.zeros(0, np.int64)
     n, m = obs.n, obs.m
     comb = _binomials(n, m)
     v11, v10, v01, v00 = tables.T[:, :, None, None]
@@ -199,11 +197,6 @@ def _log_factorial_windows(n: int) -> tuple[int, tuple[np.ndarray, ...]]:
     for every ``x`` outside ``[0, nn]``, with no masks; the ``_neg`` windows
     hold ``-inf`` there.  ``up[M + k, 0]`` is ``log(k!)``.
     """
-    if n > FLOAT_MODE_MAX_N:
-        raise CapacityError(
-            f"float-mode enumeration is limited to n <= {FLOAT_MODE_MAX_N}, got n={n}; "
-            'use the Monte Carlo method instead (permci mc, or method="mc")'
-        )
     width = 2 * n + 4
     half = 4 * n + 8 + width
     logfact = np.array([math.lgamma(k + 1) for k in range(half + 1)])
@@ -300,10 +293,6 @@ def _float_pvalues(tables: np.ndarray, obs: ObservedCounts) -> np.ndarray:
     """Float p-values of a ``(B, 4)`` int64 array of tables under equal
     groups (`_float_grid`), the only design float mode takes.  Each row is
     summed in order, so the zeros that pad it change no bit."""
-    if not obs.design.balanced:
-        raise ValidationError("float mode needs equal groups; use rational mode")
-    if not len(tables):
-        return np.zeros(0)
     weights, hits = _float_grid(tables, obs)
     totals = np.concatenate((hits, weights)).cumsum(axis=1)[:, -1]
     return totals[: len(tables)] / totals[len(tables) :]
@@ -332,10 +321,12 @@ class ExactTester:
     `RATIONAL_MAX_N` subjects and to rational otherwise.  In rational mode
     the comparison ``p >= alpha`` is exact.  In float mode p-values within
     FLOAT_P_TOL of alpha are accepted, which can only widen intervals and
-    therefore cannot hurt coverage.  `decide_block` decides a block of
-    tables with one kernel call, `_extreme_counts` or `_float_grid`.
-    Every decision computes its p-value afresh; the tester holds no mutable
-    state, so one instance may decide tables on several threads at once.
+    therefore cannot hurt coverage.  The tester guards its kernels,
+    `_extreme_counts` and `_float_pvalues`: a float tester refuses unequal
+    groups and more than `FLOAT_MODE_MAX_N` subjects when it is built, and
+    a kernel call gets at most ``widest`` tables.  Every decision computes
+    its p-value afresh; the tester holds no mutable state, so one instance
+    may decide tables on several threads at once.
     """
 
     def __init__(self, obs: ObservedCounts, alpha: float | Fraction, mode: str | None = None):
@@ -349,6 +340,13 @@ class ExactTester:
         self.method = f"exact[{mode}]"
         n, m = obs.n, obs.m
         if mode == "float":
+            if not obs.design.balanced:
+                raise ValidationError("float mode needs equal groups; use rational mode")
+            if n > FLOAT_MODE_MAX_N:
+                raise CapacityError(
+                    f"float-mode enumeration is limited to n <= {FLOAT_MODE_MAX_N}, got n={n}; "
+                    'use the Monte Carlo method instead (permci mc, or method="mc")'
+                )
             # Blocks of 32, or fewer where their (2B, n/2 + 1) float64 temporaries
             # would pass 128 KiB (n >= 512), past which a table cost more
             # (n = 1000-3000, 2-vCPU host); sites past an acceptance are wasted.
@@ -362,16 +360,19 @@ class ExactTester:
         # The fewest extreme splits of an accepted table: ceil(alpha C(n, m)).
         self._threshold = -(-self.alpha.numerator * math.comb(obs.n, obs.m) // self.alpha.denominator)
 
-    def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool:
+    def decide(self, v: CountVector) -> bool:
         if self.mode == "float":
             return bool(self.decide_block(np.array([v.astuple()], np.int64))[0])
         return exact_pvalue(v, self.obs) >= self.alpha
 
-    def decide_block(self, tables: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
-        """Decisions on a ``(B, 4)`` int64 array of tables, in order, from
-        one kernel call, the same as `decide` on each: in rational mode
-        `_extreme_counts` for any design, in float mode `_float_pvalues`
-        for equal groups; ``keys`` is ignored.  An empty block has none."""
+    def decide_block(self, tables: np.ndarray) -> np.ndarray:
+        """Decisions on a ``(B, 4)`` int64 array of any number of tables, in
+        order, the same as `decide` on each, from kernel calls of at most
+        ``widest`` rows: `_extreme_counts` for any design in rational mode,
+        `_float_pvalues` in float mode.  An empty block has none."""
+        blocks = (tables[at : at + self.widest] for at in range(0, len(tables), self.widest))
         if self.mode == "rational":
-            return _extreme_counts(tables, self.obs) >= self._threshold
-        return _float_pvalues(tables, self.obs) >= self._alpha_float - FLOAT_P_TOL
+            decided = [_extreme_counts(block, self.obs) >= self._threshold for block in blocks]
+        else:
+            decided = [_float_pvalues(block, self.obs) >= self._alpha_float - FLOAT_P_TOL for block in blocks]
+        return np.concatenate([np.zeros(0, bool), *decided])

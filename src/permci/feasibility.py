@@ -38,9 +38,6 @@ class V10Range:
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
-    def __contains__(self, v10: int) -> bool:
-        return self.lo <= v10 <= self.hi
-
 
 def is_possible(v: CountVector, obs: ObservedCounts) -> bool:
     """Closed-form possibility test for a table given observed counts.

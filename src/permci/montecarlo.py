@@ -18,6 +18,7 @@ a function of ``(seed, tau0, j, variant, i)`` alone.  Each test site derives
 its own counter-based generator, so results are bit-identical regardless of
 how many threads of its pool `McTester` decides a block of sites on, and
 line scans can extend a site's stream without touching any other site.
+`McTester` derives a site from its table alone (`_v10_bounds`).
 
 Assignments are drawn as per-class treatment splits by chained hypergeometric
 draws — the same distribution as summarizing a uniformly shuffled assignment
@@ -48,6 +49,7 @@ from .core import (
 )
 from .balanced import fast_interval_balanced
 from .exactdist import extreme_cut, split_num
+from .feasibility import _v10_bounds
 
 
 #: Largest K a Monte Carlo test may draw.  `sample_splits` holds four int64
@@ -197,7 +199,10 @@ def required_k_balanced(eps: float, n: int) -> int:
 
 
 class McTester:
-    """Seeded Monte Carlo accept/reject decisions, one substream per site.
+    """Seeded Monte Carlo accept/reject decisions, one substream per site:
+    a possible table's site is its effect ``v10 - v01``, its
+    ``j = v11 + v10`` and its steps ``v10 - lo`` from its line's smallest
+    feasible ``v10``, the closed form the balanced scan's sites come from.
     `decide_block` decides a block's sites on the ``threads`` threads of
     ``pool``, one site per thread (`decide` changes no state), or in turn."""
 
@@ -213,16 +218,15 @@ class McTester:
         self._map = map if pool is None else pool.map
         self.widest = threads
 
-    def decide(self, v: CountVector, key: tuple[int, int, int] | None = None) -> bool:
-        if key is None:
-            raise ValidationError("Monte Carlo tester requires a test-site key")
-        rng = substream(self.cfg.seed, key, self.obs.n)
+    def decide(self, v: CountVector) -> bool:
+        ntau0, j = v.v10 - v.v01, v.v11 + v.v10
+        site = (ntau0, j, v.v10 - _v10_bounds(j, ntau0, self.obs)[0])
+        rng = substream(self.cfg.seed, site, self.obs.n)
         return mc_test(self.cfg, v, self.obs, rng) >= self.cfg.accept_count
 
-    def decide_block(self, tables: np.ndarray, keys: np.ndarray) -> list[bool]:
-        """`decide` on each row of ``tables`` with its row of ``keys``, in order."""
-        sites = starmap(CountVector, tables.tolist()), map(tuple, keys.tolist())
-        return list(self._map(self.decide, *sites))
+    def decide_block(self, tables: np.ndarray) -> list[bool]:
+        """`decide` on each row of ``tables``, in order."""
+        return list(self._map(self.decide, starmap(CountVector, tables.tolist())))
 
 
 def mc_interval_balanced(

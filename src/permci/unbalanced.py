@@ -240,7 +240,7 @@ def _compatible_exact(effects, obs: ObservedCounts, tester: ExactTester, counter
     chunk = max(1, (1 << 14) // (n + 1) ** 2)
     for at in range(0, len(effects), chunk):
         tables, keys = line_points(effects[at : at + chunk], obs)
-        outcome = first_accepted(tester, tables, keys, 0)
+        outcome = first_accepted(tester, tables, 0)
         bases = int(np.count_nonzero(keys[: outcome.tests, 2] == 0))
         counters["base"] += bases
         counters["line"] += outcome.tests - bases

@@ -14,7 +14,7 @@ from permci.balanced import (
     first_accepted,
     is_compatible_balanced,
 )
-from permci import exactdist
+from permci import exactdist, montecarlo
 from permci.api import interval
 from permci.exactdist import ExactTester, exact_pvalue
 from permci.feasibility import family_vector, feasible_v10_range
@@ -238,7 +238,7 @@ def scalar_sites(ntau0, obs):
             continue
         v = family_vector(j, rng.lo, ntau0, obs.n)
         yield v.astuple(), (ntau0, j, 0)
-        if v.v10 == 0 and v.v01 == 0 and 1 in rng:
+        if v.v10 == 0 and v.v01 == 0 and rng.hi >= 1:
             yield family_vector(j, 1, ntau0, obs.n).astuple(), (ntau0, j, 1)
 
 
@@ -252,47 +252,67 @@ class RejectAll:
         self.obs, self.alpha = obs, alpha
         self.seen = []
 
-    def decide(self, v, key=None):
-        self.seen.append((v.astuple(), key))
+    def decide(self, v):
+        self.seen.append(v.astuple())
         return False
 
 
 def test_array_sites_are_the_scalar_walk():
-    # The sites, and the tables and keys a one-site-at-a-time tester is
-    # handed (the keys seed Monte Carlo substreams), in the scalar order.
+    # The sites, and the tables a one-site-at-a-time tester is handed, in
+    # the scalar order.
     neighbors = 0
     for n in range(2, 13, 2):
         for obs in all_observed(n, n // 2):
             for ntau0 in c_set(obs):
-                tables, keys = _sites(ntau0, obs)
-                assert tables.dtype == keys.dtype == np.int64
-                assert tables.shape == (len(keys), 4) and keys.shape[1] == 3
-                got = list(zip(map(tuple, tables.tolist()), map(tuple, keys.tolist())))
+                tables = _sites(ntau0, obs)
+                assert tables.dtype == np.int64 and tables.shape[1] == 4
                 want = list(scalar_sites(ntau0, obs))
-                assert got == want, (obs.astuple(), ntau0)
+                assert list(map(tuple, tables.tolist())) == [v for v, _ in want], (obs.astuple(), ntau0)
                 tester = RejectAll()
                 assert is_compatible_balanced(ntau0, obs, tester).tests == len(want)
-                assert tester.seen == want
-                assert all(type(x) is int for _, key in tester.seen for x in key)
+                assert tester.seen == [v for v, _ in want]
                 neighbors += sum(key[2] for _, key in want)
     assert neighbors > 0
 
 
+def test_mc_tester_draws_each_table_from_its_scan_site(monkeypatch):
+    # A Monte Carlo tester derives a table's substream from the table alone:
+    # for every site of a balanced scan it is the scan's (ntau0, j, variant),
+    # in Python ints, so sample i of a site is a function of
+    # (seed, tau0, j, variant, i).
+    drawn = []
+    monkeypatch.setattr(montecarlo, "substream", lambda seed, site, n: drawn.append(site))
+    monkeypatch.setattr(montecarlo, "mc_test", lambda cfg, v, obs, rng: 0)
+    rng = random.Random(161)
+    cases = [(n11, n01, m) for m in range(1, 13) for n11 in range(m + 1) for n01 in range(m + 1)]
+    cases += [(rng.randrange(m + 1), rng.randrange(m + 1), m) for m in rng.choices(range(13, 161), k=8)]
+    cfg = McConfig(alpha=0.05, eps=0.01, k=1, seed=0)
+    for n11, n01, m in cases:
+        obs = ObservedCounts(n11, m - n11, n01, m - n01)
+        tester = McTester(cfg, obs)
+        for ntau0 in c_set(obs):
+            drawn.clear()
+            assert tester.decide_block(_sites(ntau0, obs)) == [False] * len(drawn)
+            assert drawn == [key for _, key in scalar_sites(ntau0, obs)], (obs, ntau0)
+            assert all(type(x) is int for key in drawn for x in key)
+
+
 class PatternTester:
-    """Accepts the sites a seeded pattern marks; records the sites `decide`
-    sees and the start and width of every `decide_block` call."""
+    """Accepts the sites a seeded pattern marks, a site named by its
+    table's first count; records the sites `decide` sees and the start and
+    width of every `decide_block` call."""
 
     def __init__(self, accept, widest):
         self.accept, self.widest = accept, widest
         self.seen, self.blocks = [], []
 
-    def decide(self, v, key):
-        self.seen.append(key[0])
-        return self.accept[key[0]]
+    def decide(self, v):
+        self.seen.append(v.v11)
+        return self.accept[v.v11]
 
-    def decide_block(self, tables, keys):
-        self.blocks.append((int(keys[0, 0]), len(tables)))
-        return self.accept[keys[:, 0]]
+    def decide_block(self, tables):
+        self.blocks.append((int(tables[0, 0]), len(tables)))
+        return self.accept[tables[:, 0]]
 
 
 def test_walker_is_the_one_at_a_time_scan():
@@ -305,13 +325,13 @@ def test_walker_is_the_one_at_a_time_scan():
         size = int(rng.integers(0, 60))
         accept = rng.random(size) < rng.choice([0.0, 0.02, 0.1, 0.4])
         tables = rng.integers(0, 9, (size, 4))
-        keys = np.stack((np.arange(size), np.zeros(size, np.int64), np.zeros(size, np.int64)), axis=1)
+        tables[:, 0] = np.arange(size)
         hits = np.flatnonzero(accept)
         want = (True, int(hits[0]) + 1) if hits.size else (False, size)
         for scalar in range(size + 2):
             for widest in (1, 2, 3, 5, 16, 17, 32, size + 1):
                 tester = PatternTester(accept, widest)
-                got = first_accepted(tester, tables, keys, scalar)
+                got = first_accepted(tester, tables, scalar)
                 assert (got.compatible, got.tests) == want, (accept, scalar, widest)
                 assert tester.seen == list(range(min(scalar, got.tests)))
                 assert all(start < got.tests for start, _ in tester.blocks)
@@ -328,9 +348,9 @@ class BlockWidths(ExactTester):
         super().__init__(obs, alpha)
         self.widths = []
 
-    def decide_block(self, tables, keys=None):
+    def decide_block(self, tables):
         self.widths.append(len(tables))
-        return super().decide_block(tables, keys)
+        return super().decide_block(tables)
 
 
 def test_float_scan_blocks_ramp_from_16_to_32():
@@ -344,7 +364,7 @@ def test_float_scan_blocks_ramp_from_16_to_32():
         for ntau0 in c_set(obs):
             tester.widths.clear()
             outcome = is_compatible_balanced(ntau0, obs, tester)
-            size = len(_sites(ntau0, obs)[0])
+            size = len(_sites(ntau0, obs))
             start, width = 0, 16
             for got in tester.widths:
                 assert start < outcome.tests and got == min(width, size - start), (counts, ntau0)
@@ -365,5 +385,5 @@ def test_every_effect_has_at_most_n_plus_1_sites():
         obs = ObservedCounts(n11, m - n11, n01, m - n01)
         assert ExactTester(obs, 0.05, "rational").scalar == obs.n + 1
         for ntau0 in c_set(obs):
-            sites = len(_sites(ntau0, obs)[0])
+            sites = len(_sites(ntau0, obs))
             assert sites <= (obs.n // 2 + 2 if ntau0 == 0 else obs.n + 1), (obs, ntau0)

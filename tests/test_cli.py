@@ -345,7 +345,8 @@ def test_interval_report_lines_and_json_keys(capsys, argv, lines, extra_json):
 
 
 def test_missing_report_lines_and_json_keys(tmp_path, capsys):
-    # The completions' counts are in JSON only; text has no counts and no tests.
+    # The completions' counts are in JSON only; `tests` follows the interval
+    # fields, as it does for `exact`, and no Monte Carlo field is reported.
     path = tmp_path / "d.csv"
     path.write_text("z,y\n1,1\n1,NA\n1,0\n0,NA\n0,0\n0,1\n0,1\n1,1\n")
     code, out, _ = run_cli(capsys, "missing", "--file", str(path))
@@ -357,12 +358,13 @@ def test_missing_report_lines_and_json_keys(tmp_path, capsys):
         "alpha: 0.05",
         "interval_scaled: [-5, 5]",
         "interval: ['-5/8', '5/8']",
+        "tests: 6",
     ]
     code, out, _ = run_cli(capsys, "missing", "--file", str(path), "--format", "json")
     assert code == 0
     report = json.loads(out)
     assert sorted(report) == sorted([
-        "method", "n", "m", "alpha", "plus_counts", "minus_counts", "k", "seed",
-        "interval_scaled", "interval", "wall_ms",
+        "method", "n", "m", "alpha", "plus_counts", "minus_counts",
+        "interval_scaled", "interval", "tests", "wall_ms",
     ])
     assert (report["plus_counts"], report["minus_counts"]) == ([3, 1, 2, 2], [2, 2, 3, 1])

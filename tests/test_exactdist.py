@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permci.core import CapacityError, CountVector, Design, ObservedCounts, tau
-from permci.exactdist import ExactTester, _float_pvalues, exact_pvalue, split_weights
+from permci import exactdist
+from permci.core import CapacityError, CountVector, Design, ObservedCounts, c_set, neyman, tau
+from permci.exactdist import FLOAT_MODE_MAX_N, ExactTester, _float_pvalues, exact_pvalue, split_weights
+from permci.feasibility import line_points
 
 from _oracles import (
     all_count_vectors,
@@ -94,7 +96,7 @@ def test_float_mode_matches_rational():
 def test_float_mode_capacity_error():
     big = 6000
     with pytest.raises(CapacityError, match=r'use the Monte Carlo method instead \(permci mc, or method="mc"\)'):
-        exact_pmf(CountVector(big, 0, 0, big), Design(2 * big, big), mode="float")
+        ExactTester(ObservedCounts(big, 0, 0, big), 0.05)
 
 
 def test_pvalue_examples():
@@ -185,3 +187,37 @@ def test_empty_block_has_no_decisions(mode):
         tester = ExactTester(ObservedCounts(*counts), 0.05, mode)
         got = tester.decide_block(np.zeros((0, 4), np.int64))
         assert got.dtype == bool and got.shape == (0,)
+
+
+@pytest.mark.parametrize("counts", [(3, 5, 4, 12), (8, 4, 5, 7), (150, 150, 140, 160)])
+def test_decide_block_calls_kernels_of_at_most_widest_rows(monkeypatch, counts):
+    # A block of any length is decided with the decisions of `decide` on
+    # each row, by kernel calls of at most `widest` rows each.
+    obs = ObservedCounts(*counts)
+    tester = ExactTester(obs, 0.05)
+    widths = []
+    for name in ("_extreme_counts", "_float_pvalues"):
+        kernel = getattr(exactdist, name)
+        monkeypatch.setattr(exactdist, name, lambda t, o, kernel=kernel: widths.append(len(t)) or kernel(t, o))
+    estimate = neyman(obs).fraction * obs.n
+    effects = np.array([s for s in c_set(obs) if abs(s - estimate) <= 12], np.int64)
+    pool = line_points(effects, obs)[0]
+    size = 2 * tester.widest + tester.widest // 2 + 1
+    tables = pool[np.random.default_rng(sum(counts)).choice(len(pool), size, replace=False)]
+    got = tester.decide_block(tables)
+    assert widths == [tester.widest, tester.widest, size - 2 * tester.widest], (tester.mode, widths)
+    want = [tester.decide(CountVector(*t)) for t in tables.tolist()]
+    assert got.tolist() == want and 0 < sum(want) < size, counts
+
+
+def test_float_tester_refuses_more_than_the_limit_when_it_is_built():
+    # The float tester is built up to FLOAT_MODE_MAX_N subjects and raises
+    # above it, by default or by name, before any table is decided; a
+    # rational tester takes the same counts.
+    half = FLOAT_MODE_MAX_N // 2
+    assert ExactTester(ObservedCounts(half, 0, 0, half), 0.05).mode == "float"
+    over = ObservedCounts(half + 1, 0, 0, half + 1)
+    for mode in (None, "float"):
+        with pytest.raises(CapacityError, match=f"n <= {FLOAT_MODE_MAX_N}, got n={FLOAT_MODE_MAX_N + 2}"):
+            ExactTester(over, 0.05, mode)
+    assert ExactTester(over, 0.05, "rational").widest == 1

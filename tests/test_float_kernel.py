@@ -4,9 +4,10 @@ For equal groups `_float_grid` sums one term per treated count ``y`` drawn
 from the (1,1), (1,0) and (0,1) classes, so its work is O(n) per table.  These
 tests pin its value (every table and observation for even n <= 12, the
 degenerate tables, and near-null tables at n = 200, 1000 and 2000) and its
-term count.  Float mode is allowed up to n = 5000, but the error there is not
-shown: the rational oracle's cost grows as m^2, about 10 s per table at
-n = 2000 on a 2-vCPU host.
+term count.  Float mode is allowed up to n = 5000, where the rational
+oracle's cost, growing as m^2 (about 10 s per table at n = 2000 on a 2-vCPU
+host), rules out a sweep: one table there is pinned with its exact p-value,
+whose error passes the tolerance.
 """
 
 import random
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from permci.core import CountVector, ObservedCounts
-from permci.exactdist import FLOAT_P_TOL, _float_grid, _float_pvalues, exact_pvalue
+from permci.exactdist import FLOAT_P_TOL, ExactTester, _float_grid, _float_pvalues, exact_pvalue
 
 from _oracles import all_count_vectors
 
@@ -157,3 +158,28 @@ def test_pvalue_bits_are_pinned():
         assert _float_pvalues(np.array([t]), obs)[0].hex() == bits, t
     for o, t, bits in PINNED_DEGENERATE:
         assert _float_pvalues(np.array([t]), ObservedCounts(*o))[0].hex() == bits, (o, t)
+
+
+#: At n = 5000, the float-mode limit: a table whose float p-value is below
+#: its exact one by 1.92e-12, past FLOAT_P_TOL, toward rejection.  The exact
+#: p-value (`exact_pvalue`) takes minutes, so it is pinned, not recomputed.
+LIMIT_OBS, LIMIT_TABLE = ObservedCounts(1300, 1200, 1200, 1300), (727, 1756, 1605, 912)
+LIMIT_FLOAT_P, LIMIT_EXACT_P = 0.23482273255086733, 0.23482273255278696
+
+
+def test_float_error_at_the_limit_is_pinned():
+    # Above the exact p-value both arithmetics reject the table.
+    assert _float_pvalues(np.array([LIMIT_TABLE]), LIMIT_OBS)[0] == LIMIT_FLOAT_P
+    assert LIMIT_FLOAT_P - LIMIT_EXACT_P < -FLOAT_P_TOL
+    level = 0.2348227325530
+    assert level > LIMIT_EXACT_P
+    assert not ExactTester(LIMIT_OBS, level).decide_block(np.array([LIMIT_TABLE]))[0]
+
+
+@pytest.mark.xfail(
+    strict=True, reason="float rounding past FLOAT_P_TOL at n = 5000 rejects a table whose exact p-value passes"
+)
+def test_float_tester_accepts_below_the_exact_pvalue_at_the_limit():
+    level = 0.23482273255196734
+    assert LIMIT_FLOAT_P + FLOAT_P_TOL < level < LIMIT_EXACT_P
+    assert ExactTester(LIMIT_OBS, level).decide_block(np.array([LIMIT_TABLE]))[0]

@@ -95,9 +95,12 @@ def test_mc_test_trivial_cases():
     # degenerate table with effect 0 but nonzero observed gap: never extreme
     degenerate = CountVector(4, 0, 0, 0)
     assert mc_test(cfg, degenerate, obs, substream(4, (0, 1, 0), 4)) == 0
-    # The tester draws from the same substreams and accepts at cfg.accept_count.
-    tester = McTester(cfg, obs)
-    assert tester.decide(witness, (0, 0, 0)) and not tester.decide(degenerate, (0, 1, 0))
+    # The tester decides possible tables, each from its own site's
+    # substream, and accepts at cfg.accept_count: the witness always, and
+    # (6,0,0,6) under (6,0,0,6), whose exact p-value is 2/924, not at K = 500.
+    assert McTester(cfg, obs).decide(witness)
+    big = ObservedCounts(6, 0, 0, 6)
+    assert not McTester(cfg, big).decide(CountVector(6, 0, 0, 6))
 
 
 def test_mc_decision_agreement_rate():
@@ -231,9 +234,9 @@ def test_mc_scan_decides_blocks_of_threads_sites(monkeypatch):
     blocks = []
     decide_block = McTester.decide_block
 
-    def record(self, tables, keys):
-        blocks.append((int(keys[0, 0]), len(tables)))
-        return decide_block(self, tables, keys)
+    def record(self, tables):
+        blocks.append((int(tables[0, 1] - tables[0, 2]), len(tables)))
+        return decide_block(self, tables)
 
     monkeypatch.setattr(McTester, "decide_block", record)
     cfg = McConfig(alpha=0.03, eps=0.02, k=500, seed=7)
@@ -252,16 +255,15 @@ def test_mc_decide_block_is_decide_on_each_site():
     # On no pool and on pools of 2 and 3 threads, in order.
     obs = ObservedCounts(10, 10, 6, 14)
     cfg = McConfig(alpha=0.05, eps=0.01, k=400, seed=3)
-    tables, keys = balanced._sites(-5, obs)
-    sites = zip(tables.tolist(), keys.tolist())
-    want = [McTester(cfg, obs).decide(CountVector(*t), tuple(k)) for t, k in sites]
+    tables = balanced._sites(-5, obs)
+    want = [McTester(cfg, obs).decide(CountVector(*t)) for t in tables.tolist()]
     assert len(want) == 12 and want.count(True) == 3
-    assert McTester(cfg, obs).decide_block(tables, keys) == want
+    assert McTester(cfg, obs).decide_block(tables) == want
     for threads in (2, 3):
         with ThreadPoolExecutor(threads) as pool:
             tester = McTester(cfg, obs, pool, threads)
             assert (tester.scalar, tester.widest) == (0, threads)
-            assert tester.decide_block(tables, keys) == want
+            assert tester.decide_block(tables) == want
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,27 @@ def test_readme_python_blocks_run():
         exec(compile(block, str(readme), "exec"), {})
 
 
+#: Every capacity limit, by the module that holds it.
+LIMITS = {
+    "RATIONAL_MAX_N": "exactdist",
+    "FLOAT_MODE_MAX_N": "exactdist",
+    "GENERAL_EXACT_MAX_N": "unbalanced",
+    "MC_MAX_K": "montecarlo",
+    "ENUM_MAX_TUPLES": "baseline",
+}
+
+
+def test_readme_states_every_limit_with_its_value():
+    # README names each limit's constant in a paragraph that gives its
+    # value, with or without thousands separators, so the two cannot drift.
+    readme = Path(permci.__file__).parents[2] / "README.md"
+    paragraphs = readme.read_text(encoding="utf-8").split("\n\n")
+    for name, module in LIMITS.items():
+        value = getattr(importlib.import_module(f"permci.{module}"), name)
+        number = re.compile(rf"(?<!\d)(?<!\d,)({value}|{value:,})(?!,?\d)")
+        assert any(f"`{module}.{name}`" in p and number.search(p) for p in paragraphs), (name, value)
+
+
 def test_readme_json_report_is_the_cli_output(capsys):
     # README's JSON example is what `permci exact --counts 2,6,8,0 --format
     # json` prints, but for the run's `wall_ms`.
